@@ -24,12 +24,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.autotune.fingerprint import cache_key
+from repro.autotune.resolver import PlanResolver
 from repro.comm.allgather import CompiledAllgather
 from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation, LocalGraph
 from repro.core.spst import SPSTPlanner
-from repro.elastic.controller import ElasticPolicy, TransitionReport
-from repro.errors import ElasticSpecError
+from repro.elastic.controller import (
+    ElasticPolicy, TransitionReport, validate_transition,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.log import FaultLog
 from repro.faults.repair import repair_plan
@@ -407,102 +410,57 @@ class DGCLSession:
         assignment = np.asarray(assignment, dtype=np.int64)
         self.relation = CommRelation(graph, assignment, self.topology.num_devices)
 
-        key = None
-        self._cache_key = None
-        if self.plan_cache is not None:
-            from repro.autotune.cache import PlanCacheError
-            from repro.autotune.fingerprint import cache_key
+        self.tune_report = None  # only a build that tunes repopulates it
+        meta = {"strategy": strategy}
 
+        def key():
             # Key on the *canonical* scheme name and its registered
             # version: alias spellings share a cache entry, and bumping
             # a scheme implementation invalidates its cached plans.
-            config = {
+            return cache_key(graph, assignment, self.topology, {
                 "strategy": spec.name if spec is not None else "auto",
                 "scheme_version": spec.version if spec is not None else "0",
                 "chunks_per_class": chunks_per_class,
                 "seed": seed,
-            }
-            key = cache_key(graph, assignment, self.topology, config)
-            self._cache_key = key
-            try:
-                plan = self.plan_cache.get(key, self.topology)
-            except PlanCacheError:
-                plan = None  # invalid entry: fall through and replan
-            if plan is not None:
-                return self._install_plan(plan, "cache", engine)
-            donor = self.plan_cache.find_sibling(key)
-            if donor is not None:
-                from repro.autotune.replan import incremental_replan
+            })
 
-                result = incremental_replan(
-                    donor,
-                    self.relation,
-                    self.topology,
-                    chunks_per_class=chunks_per_class,
+        def cold() -> CommPlan:
+            if spec is None:  # "auto": the tuner picks, then builds
+                self.tune_report = self.tune(
+                    graph,
                     seed=seed,
+                    chunks_per_class=chunks_per_class,
+                    plan_based_only=True,
+                    assignment=self.relation.assignment,
+                    **(tune_kwargs or {}),
                 )
-                if result.patched:
-                    self.plan_cache.count_patch()
-                self._store_plan(key, result.plan, strategy)
-                return self._install_plan(result.plan, result.source, engine)
+                meta["picked"] = self.tune_report.candidate.config()
+                return self.tune_report.build_plan()
+            if spec.name == "peer-to-peer":
+                from repro.core.baseline_planners import peer_to_peer_plan
 
-        plan = self._plan_from_scratch(
-            graph, strategy, seed, chunks_per_class, engine,
-            tune_kwargs=tune_kwargs,
-        )
-        if key is not None:
-            self._store_plan(key, plan, strategy)
-        return self._install_plan(plan, "planned", engine)
-
-    def _plan_from_scratch(
-        self,
-        graph: Graph,
-        strategy: str,
-        seed: int,
-        chunks_per_class: int,
-        engine: str,
-        tune_kwargs: Optional[dict] = None,
-    ) -> CommPlan:
-        """Plan against :attr:`relation` with the resolved strategy."""
-        self.tune_report = None  # only the auto strategy repopulates it
-        if strategy == "auto":
-            kwargs = dict(tune_kwargs or {})
-            report = self.tune(
-                graph,
-                seed=seed,
-                chunks_per_class=chunks_per_class,
-                plan_based_only=True,
-                assignment=self.relation.assignment,
-                **kwargs,
+                return peer_to_peer_plan(self.relation, self.topology)
+            if spec.name in ("dgcl", "dgcl-cache"):
+                planner = SPSTPlanner(
+                    self.topology, chunks_per_class=chunks_per_class,
+                    seed=seed, engine=engine,
+                )
+                return planner.plan(self.relation)
+            # Any other plan-based registry scheme (CAGNET trees, delayed
+            # aggregation, custom registrations) compiles via its builder.
+            return spec.build_plan(
+                self.relation, self.topology,
+                chunks_per_class=chunks_per_class, seed=seed, engine=engine,
             )
-            self.tune_report = report
-            return report.build_plan()
-        spec = resolve_strategy(strategy)
-        if spec.name == "peer-to-peer":
-            from repro.core.baseline_planners import peer_to_peer_plan
 
-            return peer_to_peer_plan(self.relation, self.topology)
-        if spec.name in ("dgcl", "dgcl-cache"):
-            planner = SPSTPlanner(
-                self.topology, chunks_per_class=chunks_per_class, seed=seed,
-                engine=engine,
-            )
-            return planner.plan(self.relation)
-        # Any other plan-based registry scheme (CAGNET trees, delayed
-        # aggregation, custom registrations) compiles via its builder.
-        return spec.build_plan(
-            self.relation, self.topology,
-            chunks_per_class=chunks_per_class, seed=seed, engine=engine,
+        cache = self.plan_cache
+        resolution = PlanResolver(cache).resolve(
+            self.relation, self.topology, key, cold,
+            donor=cache.find_sibling if cache is not None else None,
+            chunks_per_class=chunks_per_class, seed=seed, meta=meta,
         )
-
-    def _store_plan(self, key, plan: CommPlan, strategy: str) -> None:
-        """Record a freshly built plan in the session's cache."""
-        from repro.autotune.replan import plan_cost
-
-        meta = {"strategy": strategy, "cost_units": plan_cost(plan)}
-        if self.tune_report is not None and strategy == "auto":
-            meta["picked"] = self.tune_report.candidate.config()
-        self.plan_cache.put(key, plan, meta=meta)
+        self._cache_key = resolution.key
+        return self._install_plan(resolution.plan, resolution.source, engine)
 
     def _install_plan(
         self, plan: CommPlan, source: str, engine: str
@@ -519,7 +477,7 @@ class DGCLSession:
             fidelity=self.fidelity,
             stage_costs=tuple(model.stage_times()),
             total_cost=model.total_cost(),
-            tune_report=self.tune_report if source == "planned" else None,
+            tune_report=self.tune_report,
         )
 
     def tune(
@@ -794,41 +752,10 @@ class DGCLSession:
     def _elastic_transition(self, kind: str, devices) -> TransitionReport:
         self._check_open()
         policy = self.elastic or ElasticPolicy()
-        delta = sorted(set(int(d) for d in devices))
-        if not delta:
-            raise ElasticSpecError(f"{kind}: empty device set")
-        bad = [d for d in delta if not 0 <= d < self.base_topology.num_devices]
-        if bad:
-            raise ElasticSpecError(
-                f"{kind}: unknown device(s) {bad}: the base topology has "
-                f"{self.base_topology.num_devices} devices"
-            )
-        active = set(self.active_devices)
-        if kind == "grow":
-            overlap = sorted(set(delta) & active)
-            if overlap:
-                raise ElasticSpecError(
-                    f"grow: device(s) {overlap} are already active"
-                )
-            ceiling = policy.max_devices or self.base_topology.num_devices
-            if len(active) + len(delta) > ceiling:
-                raise ElasticSpecError(
-                    f"grow: {len(active)} + {len(delta)} devices exceeds "
-                    f"the policy ceiling of {ceiling}"
-                )
-            after = sorted(active | set(delta))
-        else:
-            missing = sorted(set(delta) - active)
-            if missing:
-                raise ElasticSpecError(
-                    f"shrink: device(s) {missing} are not active"
-                )
-            after = sorted(active - set(delta))
-            if len(after) < max(policy.min_devices, 1):
-                raise ElasticSpecError(
-                    f"shrink: {len(after)} device(s) would remain, policy "
-                    f"floor is {max(policy.min_devices, 1)}"
-                )
+        delta, after = validate_transition(
+            kind, devices, self.active_devices,
+            self.base_topology.num_devices, policy,
+        )
 
         before = tuple(self.active_devices)
         start = self.simulated_comm_seconds

@@ -14,7 +14,9 @@ The subsystem behind ``strategy="auto"``:
   :class:`PlanCache` those digests address;
 * :mod:`repro.autotune.replan` — incremental replanning that patches a
   cached plan across topology/partition drift, reusing the fault-repair
-  regrowth engine.
+  regrowth engine;
+* :mod:`repro.autotune.resolver` — the one cache → patch → cold plan
+  ladder every plan-reusing caller resolves through.
 """
 
 from repro.autotune.cache import CacheStats, PlanCache, PlanCacheError
@@ -36,6 +38,7 @@ from repro.autotune.fingerprint import (
     topology_fingerprint,
 )
 from repro.autotune.replan import ReplanResult, incremental_replan, plan_cost
+from repro.autotune.resolver import PlanResolver, Resolution
 from repro.autotune.space import (
     ALL_STRATEGIES,
     PLAN_STRATEGIES,
@@ -54,7 +57,9 @@ __all__ = [
     "ExhaustiveSearch",
     "PlanCache",
     "PlanCacheError",
+    "PlanResolver",
     "ReplanResult",
+    "Resolution",
     "SearchDriver",
     "SearchSpace",
     "SuccessiveHalving",

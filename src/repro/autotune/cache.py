@@ -25,12 +25,17 @@ Beyond the exact lookup, :meth:`PlanCache.find_sibling` retrieves an
 entry that matches on graph + config but differs in topology or
 partition — the raw material of incremental replanning
 (:mod:`repro.autotune.replan`).
+
+``PlanCache(None)`` keeps plans in memory instead, evicting the least
+recently used past :attr:`PlanCache.MEMORY_ENTRIES`, so long-lived
+loops (elastic handoffs) stay bounded.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -79,11 +84,19 @@ class CacheStats:
 
 
 class PlanCache:
-    """Directory of content-addressed, versioned JSON plan entries."""
+    """Directory of content-addressed, versioned JSON plan entries, or —
+    with ``directory=None`` — a bounded in-memory LRU of plans."""
 
-    def __init__(self, directory: PathLike) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+    #: Plans an in-memory cache holds before evicting the least
+    #: recently used one.
+    MEMORY_ENTRIES = 32
+
+    def __init__(self, directory: Optional[PathLike]) -> None:
+        self.directory = None if directory is None else Path(directory)
+        if self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        #: In-memory entries (key digest -> plan), least recent first.
+        self._memory: "OrderedDict[str, CommPlan]" = OrderedDict()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -139,6 +152,14 @@ class PlanCache:
         ``topology``) is counted as an invalidation and raised as
         :class:`PlanCacheError` — never returned.
         """
+        if self.directory is None:
+            plan = self._memory.get(key.digest)
+            if plan is None:
+                self._count("misses")
+                return None
+            self._memory.move_to_end(key.digest)
+            self._count("hits")
+            return plan
         path = self.path_for(key)
         if not path.exists():
             self._count("misses")
@@ -167,12 +188,20 @@ class PlanCache:
         key: CacheKey,
         plan: CommPlan,
         meta: Optional[dict] = None,
-    ) -> Path:
+    ) -> Optional[Path]:
         """Store ``plan`` under ``key`` atomically; returns the path.
 
         ``meta`` carries whatever the caller wants future sessions to
-        know (resolved strategy, recorded plan cost, ...).
+        know (resolved strategy, recorded plan cost, ...).  An in-memory
+        cache keeps only the plan and returns None.
         """
+        if self.directory is None:
+            self._memory[key.digest] = plan
+            self._memory.move_to_end(key.digest)
+            if len(self._memory) > self.MEMORY_ENTRIES:
+                self._memory.popitem(last=False)
+            self._count("stores")
+            return None
         doc = {
             "kind": "dgcl-plan",
             "format": CACHE_FORMAT_VERSION,
@@ -200,6 +229,8 @@ class PlanCache:
         when the entry is missing or unreadable (annotation is best
         effort; the loud path is :meth:`get`).
         """
+        if self.directory is None:
+            return None
         path = self.path_for(key)
         if not path.exists():
             return None
@@ -225,8 +256,11 @@ class PlanCache:
         Unreadable entries encountered during the scan are skipped (the
         exact-key path is where rejection is loud).  Entries differing
         in *both* topology and partition are preferred last; same-graph
-        same-partition (topology drift only) donors come first.
+        same-partition (topology drift only) donors come first.  An
+        in-memory cache keeps no documents and has no siblings.
         """
+        if self.directory is None:
+            return None
         best: Optional[dict] = None
         best_rank = 3
         for path in sorted(self.directory.glob("plan-*.json")):
@@ -258,10 +292,12 @@ class PlanCache:
         return best
 
     def __len__(self) -> int:
+        if self.directory is None:
+            return len(self._memory)
         return len(list(self.directory.glob("plan-*.json")))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"PlanCache({str(self.directory)!r}, entries={len(self)}, "
+            f"PlanCache({self.directory and str(self.directory)!r}, entries={len(self)}, "
             f"stats={self.stats.as_dict()})"
         )

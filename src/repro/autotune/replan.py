@@ -43,7 +43,6 @@ from repro.core.serialize import link_table, route_from_jsonable
 from repro.core.spst import SPSTPlanner
 from repro.faults.policy import UnrecoverableFaultError
 from repro.faults.repair import regrow_routes
-from repro.obs.metrics import global_metrics
 from repro.topology.topology import Topology
 
 __all__ = ["ReplanResult", "incremental_replan", "plan_cost"]
@@ -71,17 +70,6 @@ class ReplanResult:
     def patched(self) -> bool:
         """True when the cached trees were surgically reused."""
         return self.source == "patched"
-
-    def as_dict(self) -> dict:
-        """JSON-able view for reports and CLI output."""
-        return {
-            "source": self.source,
-            "reused_routes": self.reused_routes,
-            "regrown_routes": self.regrown_routes,
-            "dropped_routes": self.dropped_routes,
-            "patched_cost": self.patched_cost,
-            "baseline_cost": self.baseline_cost,
-        }
 
 
 def plan_cost(plan: CommPlan) -> float:
@@ -203,7 +191,6 @@ def incremental_replan(
         repaired, degraded = regrow_routes(topology, kept, broken, seed=seed)
     except UnrecoverableFaultError:
         plan = _full_replan(relation, topology, chunks_per_class, seed, name)
-        global_metrics().counter("autotune.replan", outcome="replanned").inc()
         return ReplanResult(
             plan=plan,
             source="replanned",
@@ -218,7 +205,6 @@ def incremental_replan(
         # Drift too large: surgery produced a worse plan than the donor
         # promised; pay for a full plan instead.
         plan = _full_replan(relation, topology, chunks_per_class, seed, name)
-        global_metrics().counter("autotune.replan", outcome="replanned").inc()
         return ReplanResult(
             plan=plan,
             source="replanned",
@@ -228,7 +214,6 @@ def incremental_replan(
             patched_cost=plan_cost(plan),
             baseline_cost=baseline,
         )
-    global_metrics().counter("autotune.replan", outcome="patched").inc()
     return ReplanResult(
         plan=patched,
         source="patched",

@@ -28,6 +28,7 @@ from repro.elastic.controller import (
     ElasticController,
     ElasticPolicy,
     TransitionReport,
+    validate_transition,
 )
 from repro.elastic.scheduler import (
     ElasticAction,
@@ -41,6 +42,7 @@ __all__ = [
     "ElasticController",
     "ElasticPolicy",
     "TransitionReport",
+    "validate_transition",
     "ElasticSpecError",
     "JobTraffic",
     "plan_traffic",

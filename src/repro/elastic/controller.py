@@ -14,12 +14,11 @@ the same moves in a controlled order, with nothing lost:
 3. **repartition** — vertex ownership is re-cut over the new device
    set by the same hierarchical partitioner crash recovery uses,
    generalised from "survivors only" to additions;
-4. **plan patch** — the new relation is planned through a memo/patch
-   ladder: an exact content-fingerprint memo hit first (re-entering a
-   previously-planned device set returns that plan verbatim), then
-   :func:`~repro.autotune.replan.incremental_replan` patching the
-   previous plan's surviving trees (full SPST fallback on the existing
-   1.5x cost-regression guard), then a cold SPST plan;
+4. **plan patch** — the shared
+   :class:`~repro.autotune.resolver.PlanResolver` ladder: a memo hit
+   first (re-entering a previously-planned device set returns that
+   plan verbatim), then a patch of the previous plan's surviving trees,
+   then a cold SPST plan;
 5. **resume** — the §6.3 re-dispatch of sub-graphs and tables is
    priced via :func:`~repro.runtime.bootstrap.simulate_bootstrap` and
    training continues on the same weights.
@@ -36,13 +35,12 @@ after a handoff and the usual retry/repair/degrade ladder still runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.autotune.cache import PlanCache
 from repro.autotune.fingerprint import cache_key
-from repro.autotune.replan import DEFAULT_THRESHOLD, incremental_replan, plan_cost
-from repro.core.plan import CommPlan
+from repro.autotune.resolver import PlanResolver
 from repro.core.relation import CommRelation
-from repro.core.serialize import plan_to_jsonable
 from repro.core.spst import SPSTPlanner
 from repro.errors import ElasticSpecError
 from repro.gnn.checkpoint import snapshot
@@ -52,7 +50,8 @@ from repro.obs.tracer import TRAINER_TRACK
 from repro.runtime.protocol import DEFAULT_CONTROL_LATENCY
 from repro.topology.topology import Topology
 
-__all__ = ["ElasticPolicy", "TransitionReport", "ElasticController"]
+__all__ = ["ElasticPolicy", "TransitionReport", "ElasticController",
+           "validate_transition"]
 
 #: Chunking used for every plan the controller grows — kept equal to
 #: the SPSTPlanner and incremental_replan defaults so a memoised cold
@@ -70,9 +69,6 @@ class ElasticPolicy:
     max_devices: Optional[int] = None
     #: "incremental" patches the previous plan; "full" always replans.
     replan: str = "incremental"
-    #: Cost-regression guard: patched plans costing more than this
-    #: multiple of the previous plan trigger a from-scratch SPST plan.
-    threshold: float = DEFAULT_THRESHOLD
     #: Control RTTs per active device charged for the drain barrier.
     drain_rtts: int = 2
 
@@ -85,8 +81,6 @@ class ElasticPolicy:
             raise ElasticSpecError(
                 f"replan must be 'incremental' or 'full', not {self.replan!r}"
             )
-        if self.threshold <= 0:
-            raise ElasticSpecError("threshold must be positive")
         if self.drain_rtts < 0:
             raise ElasticSpecError("drain_rtts must be non-negative")
 
@@ -167,14 +161,13 @@ class ElasticController(ResilientTrainer):
         self._initial_devices = (
             self._validated_subset(topology, devices) if devices is not None else None
         )
-        #: Content-fingerprint memo: device-set identity -> plan.  A
-        #: grow back onto a previously-planned set is a pure lookup, so
-        #: the plan equals the cold plan for that set *exactly*.
-        self._plan_memo: Dict[str, CommPlan] = {}
-        #: Donor for incremental patching: the previous plan, its
-        #: device set (base ids) and its recorded cost.
-        self._donor: Optional[dict] = None
-        self.plan_source = "planned"
+        #: Memo of planned device sets, by content fingerprint: a grow
+        #: back onto a previously-planned set is a pure lookup, so the
+        #: plan equals the cold plan for that set *exactly*.
+        self._resolver = PlanResolver(PlanCache(None))
+        #: Donor for incremental patching: the previous plan's device
+        #: set (base ids) and its donor document.
+        self._donor: Optional[Tuple[List[int], dict]] = None
         self.transitions: List[TransitionReport] = []
         super().__init__(graph, topology, model, features, labels, **kwargs)
 
@@ -204,53 +197,31 @@ class ElasticController(ResilientTrainer):
             if len(self.devices) != self.base_topology.num_devices:
                 self._build()
                 return self.plan
-        key = cache_key(
-            self.graph,
-            assignment,
-            topology,
-            {
+
+        def key():
+            return cache_key(self.graph, assignment, topology, {
                 "strategy": "spst",
                 "seed": self.seed,
                 "chunks_per_class": CHUNKS_PER_CLASS,
                 "elastic": True,
-            },
-        ).digest
-        plan = self._plan_memo.get(key)
-        if plan is not None:
-            self.plan_source = "memo"
-        else:
-            plan = self._patched_or_cold_plan(topology, relation)
-            self._plan_memo[key] = plan
-        self._donor = {
-            "devices": list(self.devices),
-            "doc": plan_to_jsonable(plan),
-            "cost": plan_cost(plan),
-        }
-        global_metrics().counter("elastic.plan", source=self.plan_source).inc()
-        return plan
+            })
 
-    def _patched_or_cold_plan(
-        self, topology: Topology, relation: CommRelation
-    ) -> CommPlan:
-        donor = self._donor
-        if donor is not None and self.elastic.replan == "incremental":
-            doc = _remapped_donor_doc(donor, self.devices)
-            if doc is not None:
-                result = incremental_replan(
-                    doc,
-                    relation,
-                    topology,
-                    chunks_per_class=CHUNKS_PER_CLASS,
-                    threshold=self.elastic.threshold,
-                    seed=self.seed,
-                )
-                self.plan_source = result.source  # "patched" | "replanned"
-                return result.plan
-        self.plan_source = "planned"
-        planner = SPSTPlanner(
-            topology, chunks_per_class=CHUNKS_PER_CLASS, seed=self.seed
+        def cold():
+            return SPSTPlanner(
+                topology, chunks_per_class=CHUNKS_PER_CLASS, seed=self.seed
+            ).plan(relation)
+
+        def donor(_key):
+            return _remapped_donor_doc(*self._donor, self.devices)
+
+        patch = self._donor is not None and self.elastic.replan == "incremental"
+        resolution = self._resolver.resolve(
+            relation, topology, key, cold, donor=donor if patch else None,
+            chunks_per_class=CHUNKS_PER_CLASS, seed=self.seed,
         )
-        return planner.plan(relation)
+        self.plan_source = resolution.source
+        self._donor = (list(self.devices), resolution.donor())
+        return resolution.plan
 
     # ------------------------------------------------------------------
     # Planned transitions
@@ -262,50 +233,11 @@ class ElasticController(ResilientTrainer):
         """Remove ``devices`` (base-topology ids) from the active set."""
         return self._transition("shrink", devices)
 
-    def _validate_transition(self, kind: str, devices: Sequence[int]) -> List[int]:
-        delta = sorted(set(int(d) for d in devices))
-        if not delta:
-            raise ElasticSpecError(f"{kind}: empty device set")
-        bad = [d for d in delta if not 0 <= d < self.base_topology.num_devices]
-        if bad:
-            raise ElasticSpecError(
-                f"{kind}: unknown device(s) {bad}: the base topology has "
-                f"{self.base_topology.num_devices} devices"
-            )
-        active = set(self.devices)
-        if kind == "grow":
-            overlap = sorted(set(delta) & active)
-            if overlap:
-                raise ElasticSpecError(
-                    f"grow: device(s) {overlap} are already active"
-                )
-            crashed = sorted(set(delta) & set(self.lost_devices))
-            if crashed:
-                raise ElasticSpecError(
-                    f"grow: device(s) {crashed} crashed earlier and cannot rejoin"
-                )
-            ceiling = self.elastic.max_devices or self.base_topology.num_devices
-            if len(active) + len(delta) > ceiling:
-                raise ElasticSpecError(
-                    f"grow: {len(active)} + {len(delta)} devices exceeds "
-                    f"the policy ceiling of {ceiling}"
-                )
-        else:
-            missing = sorted(set(delta) - active)
-            if missing:
-                raise ElasticSpecError(
-                    f"shrink: device(s) {missing} are not active"
-                )
-            remaining = len(active) - len(delta)
-            if remaining < max(self.elastic.min_devices, 1):
-                raise ElasticSpecError(
-                    f"shrink: {remaining} device(s) would remain, policy "
-                    f"floor is {max(self.elastic.min_devices, 1)}"
-                )
-        return delta
-
     def _transition(self, kind: str, devices: Sequence[int]) -> TransitionReport:
-        delta = self._validate_transition(kind, devices)
+        delta, after = validate_transition(
+            kind, devices, self.devices, self.base_topology.num_devices,
+            self.elastic, lost=self.lost_devices,
+        )
         start = self.clock
         before = tuple(self.devices)
 
@@ -329,10 +261,6 @@ class ElasticController(ResilientTrainer):
         )
 
         # 3+4. repartition onto the new set and run the plan ladder.
-        if kind == "grow":
-            after = sorted(set(before) | set(delta))
-        else:
-            after = sorted(set(before) - set(delta))
         self.devices = after
         self._build()
         # Plan surgery priced like the repair path: control round trips
@@ -408,7 +336,62 @@ class ElasticController(ResilientTrainer):
         return self.train(epochs)
 
 
-def _remapped_donor_doc(donor: dict, new_devices: Sequence[int]) -> Optional[dict]:
+def validate_transition(
+    kind: str,
+    devices: Sequence[int],
+    active: Sequence[int],
+    num_devices: int,
+    policy: ElasticPolicy,
+    lost: Sequence[int] = (),
+) -> Tuple[List[int], List[int]]:
+    """Check a grow/shrink of base-topology ``devices`` against the
+    ``active`` set, ``policy`` and ``lost`` (crashed, cannot rejoin)
+    devices; returns ``(delta, devices_after)`` or raises
+    :class:`~repro.errors.ElasticSpecError`."""
+    delta = sorted(set(int(d) for d in devices))
+    if not delta:
+        raise ElasticSpecError(f"{kind}: empty device set")
+    bad = [d for d in delta if not 0 <= d < num_devices]
+    if bad:
+        raise ElasticSpecError(
+            f"{kind}: unknown device(s) {bad}: the base topology has "
+            f"{num_devices} devices"
+        )
+    active = set(active)
+    if kind == "grow":
+        overlap = sorted(set(delta) & active)
+        if overlap:
+            raise ElasticSpecError(
+                f"grow: device(s) {overlap} are already active"
+            )
+        crashed = sorted(set(delta) & set(lost))
+        if crashed:
+            raise ElasticSpecError(
+                f"grow: device(s) {crashed} crashed earlier and cannot rejoin"
+            )
+        ceiling = policy.max_devices or num_devices
+        if len(active) + len(delta) > ceiling:
+            raise ElasticSpecError(
+                f"grow: {len(active)} + {len(delta)} devices exceeds "
+                f"the policy ceiling of {ceiling}"
+            )
+        return delta, sorted(active | set(delta))
+    missing = sorted(set(delta) - active)
+    if missing:
+        raise ElasticSpecError(f"shrink: device(s) {missing} are not active")
+    after = sorted(active - set(delta))
+    floor = max(policy.min_devices, 1)
+    if len(after) < floor:
+        raise ElasticSpecError(
+            f"shrink: {len(after)} device(s) would remain, policy "
+            f"floor is {floor}"
+        )
+    return delta, after
+
+
+def _remapped_donor_doc(
+    old_devices: Sequence[int], donor: dict, new_devices: Sequence[int]
+) -> Optional[dict]:
     """Re-number a donor plan document onto a new active device set.
 
     The donor plan addressed devices in its own restricted numbering;
@@ -420,11 +403,10 @@ def _remapped_donor_doc(donor: dict, new_devices: Sequence[int]) -> Optional[dic
     regrow list via an unresolvable sentinel edge.  Returns None when
     nothing survives.
     """
-    old_devices = list(donor["devices"])
     old_to_base = dict(enumerate(old_devices))
     base_to_new = {d: i for i, d in enumerate(sorted(set(new_devices)))}
     routes = []
-    for rd in donor["doc"].get("routes", []):
+    for rd in donor["plan"]["routes"]:
         src = base_to_new.get(old_to_base.get(rd["source"]))
         dests = [base_to_new.get(old_to_base.get(d)) for d in rd["destinations"]]
         if src is None or any(d is None for d in dests):
@@ -451,7 +433,4 @@ def _remapped_donor_doc(donor: dict, new_devices: Sequence[int]) -> Optional[dic
         )
     if not routes:
         return None
-    return {
-        "plan": {"routes": routes},
-        "meta": {"cost_units": donor.get("cost")},
-    }
+    return {"plan": {"routes": routes}, "meta": donor["meta"]}

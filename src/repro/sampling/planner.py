@@ -3,38 +3,36 @@
 Full-graph DGCL plans once and trains forever; sampled training needs
 a *fresh* communication plan for every batch, which turns planning into
 a hot path (thousands of plans per epoch).  The :class:`BatchPlanner`
-keeps that path fast with a three-level ladder, cheapest first:
+resolves every batch through the shared
+:class:`~repro.autotune.resolver.PlanResolver` ladder, cheapest first:
 
-1. **cache** — the batch's sampled subgraph is fingerprinted
+1. **cache** — with a :class:`~repro.autotune.cache.PlanCache` bound,
+   the batch's sampled subgraph is fingerprinted
    (:func:`repro.autotune.fingerprint.subgraph_fingerprint` — cheap:
-   the parent digest is memoised) into the shared content-addressed
-   :class:`~repro.autotune.cache.PlanCache`; an exact entry skips
-   planning entirely;
+   the parent digest is memoised); an exact entry skips planning;
 2. **patch** — consecutive batches sample overlapping neighborhoods,
    so their multicast classes mostly share (source, destination-set)
-   signatures: the previous batch's plan is the donor for
-   :func:`~repro.autotune.replan.incremental_replan`, which reuses
-   matching trees and regrows only the new classes, falling back to a
-   cold plan when the patched cost regresses past the 1.5x threshold;
+   signatures: the previous batch's plan is the patch donor, reusing
+   matching trees and regrowing only the new classes, with a cold plan
+   when the patched cost regresses past the 1.5x guard;
 3. **plan** — cold SPST on the batch relation (first batch, or the
    fallback).
 
-Every outcome lands on :func:`repro.obs.metrics.global_metrics` (and
-an optional per-planner registry) under ``sampling.batch_plan`` so
-``repro profile`` and the soak summaries can attribute per-batch
-planning time, and the ladder's sustained plans/sec is what
-``bench_sampling.py`` measures.
+Outcomes land on the resolver's ``plan.resolve{source}`` metrics (also
+on an optional per-planner registry); the ladder's sustained plans/sec
+is what ``bench_sampling.py`` measures.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autotune.cache import PlanCache, PlanCacheError
+from repro.autotune.cache import PlanCache
 from repro.autotune.fingerprint import (
     CacheKey,
     config_fingerprint,
@@ -42,17 +40,12 @@ from repro.autotune.fingerprint import (
     subgraph_fingerprint,
     topology_fingerprint,
 )
-from repro.autotune.replan import (
-    DEFAULT_THRESHOLD,
-    incremental_replan,
-    plan_cost,
-)
+from repro.autotune.resolver import PlanResolver
 from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation
-from repro.core.serialize import plan_to_jsonable
 from repro.core.spst import SPSTPlanner
 from repro.graph.csr import Graph
-from repro.obs.metrics import MetricsRegistry, global_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.sampling.samplers import SampledSubgraph
 from repro.topology.topology import Topology
 
@@ -75,7 +68,6 @@ class PlannedBatch:
     relation: CommRelation
     plan: CommPlan
     plan_source: str
-    key: CacheKey
     wall_seconds: float
 
     @property
@@ -134,7 +126,6 @@ class BatchPlanner:
         plan_cache: Optional[PlanCache] = None,
         chunks_per_class: int = 4,
         seed: int = 0,
-        threshold: float = DEFAULT_THRESHOLD,
         incremental: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -144,118 +135,73 @@ class BatchPlanner:
         self.graph = graph
         self.assignment = assignment
         self.topology = topology
-        self.plan_cache = plan_cache
         self.chunks_per_class = int(chunks_per_class)
         self.seed = int(seed)
-        self.threshold = float(threshold)
         self.incremental = bool(incremental)
-        self.metrics = metrics
         self.stats = BatchPlanStats()
-        self._topology_fp = topology_fingerprint(topology)
-        self._config = {
+        self._resolver = PlanResolver(plan_cache, metrics)
+        #: Previous batch's plan as the donor document of the next
+        #: batch's patch rung.
+        self._donor: Optional[dict] = None
+
+    # ------------------------------------------------------------------
+    @cached_property
+    def _fixed_fingerprints(self) -> Tuple[str, str]:
+        """Topology and config digests, shared by every batch key."""
+        config = {
             "strategy": "spst-minibatch",
             "chunks_per_class": self.chunks_per_class,
             "seed": self.seed,
         }
-        self._config_fp = config_fingerprint(self._config)
-        #: Previous batch's plan as an in-memory donor document for
-        #: incremental_replan (same envelope a cache entry carries).
-        self._donor: Optional[dict] = None
+        return topology_fingerprint(self.topology), config_fingerprint(config)
 
-    # ------------------------------------------------------------------
     def batch_key(self, batch: SampledSubgraph) -> CacheKey:
         """The content-addressed cache key of one sampled batch."""
-        sub_assignment = self.assignment[batch.vertices]
+        topology_fp, config_fp = self._fixed_fingerprints
         return CacheKey(
             graph=subgraph_fingerprint(
                 self.graph, batch.vertices, batch.graph
             ),
-            partition=partition_fingerprint(sub_assignment),
-            topology=self._topology_fp,
-            config=self._config_fp,
+            partition=partition_fingerprint(self.assignment[batch.vertices]),
+            topology=topology_fp,
+            config=config_fp,
         )
-
-    def _count(self, source: str, wall: float) -> None:
-        """Record one batch on the instance stats and both registries."""
-        self.stats.record(source, wall)
-        for registry in (global_metrics(), self.metrics):
-            if registry is None:
-                continue
-            registry.counter("sampling.batch_plan", source=source).inc()
-            registry.histogram("sampling.plan_wall_seconds").observe(wall)
-
-    def _cold_plan(self, relation: CommRelation) -> CommPlan:
-        """Rung 3: plain SPST on the batch relation."""
-        planner = SPSTPlanner(
-            self.topology,
-            granularity="chunk",
-            chunks_per_class=self.chunks_per_class,
-            seed=self.seed,
-        )
-        return planner.plan(relation, name="spst-minibatch")
 
     def plan_batch(self, batch: SampledSubgraph) -> PlannedBatch:
         """Plan one sampled batch through the cache/patch/plan ladder."""
         start = time.perf_counter()
-        sub_assignment = self.assignment[batch.vertices]
         relation = CommRelation(
-            batch.graph, sub_assignment, self.topology.num_devices
+            batch.graph, self.assignment[batch.vertices],
+            self.topology.num_devices,
         )
-        key = self.batch_key(batch)
-
-        plan = None
-        source = None
-        if self.plan_cache is not None:
-            try:
-                plan = self.plan_cache.get(key, self.topology)
-            except PlanCacheError:
-                plan = None  # invalid entry: fall through and replan
-            if plan is not None:
-                source = "cache"
-
-        if plan is None and self.incremental and self._donor is not None:
-            result = incremental_replan(
-                self._donor,
-                relation,
+        resolution = self._resolver.resolve(
+            relation,
+            self.topology,
+            lambda: self.batch_key(batch),
+            lambda: SPSTPlanner(
                 self.topology,
+                granularity="chunk",
                 chunks_per_class=self.chunks_per_class,
-                threshold=self.threshold,
                 seed=self.seed,
-                name="spst-minibatch",
-            )
-            plan, source = result.plan, result.source
-            if result.patched and self.plan_cache is not None:
-                self.plan_cache.count_patch()
-
-        if plan is None:
-            plan = self._cold_plan(relation)
-            source = "planned"
-
-        if self.plan_cache is not None and source != "cache":
-            self.plan_cache.put(
-                key, plan,
-                meta={"strategy": "spst-minibatch",
-                      "cost_units": plan_cost(plan)},
-            )
-        self._donor = {
-            "plan": plan_to_jsonable(plan),
-            "meta": {"cost_units": plan_cost(plan)},
-        }
+            ).plan(relation, name="spst-minibatch"),
+            donor=(lambda _key: self._donor) if self.incremental else None,
+            chunks_per_class=self.chunks_per_class,
+            seed=self.seed,
+            name="spst-minibatch",
+            meta={"strategy": "spst-minibatch"},
+        )
+        if self.incremental:
+            self._donor = resolution.donor()
         wall = time.perf_counter() - start
-        self._count(source, wall)
+        self.stats.record(resolution.source, wall)
         return PlannedBatch(
             subgraph=batch,
             relation=relation,
-            plan=plan,
-            plan_source=source,
-            key=key,
+            plan=resolution.plan,
+            plan_source=resolution.source,
             wall_seconds=wall,
         )
 
     def plan_stream(self, batches) -> List[PlannedBatch]:
         """Plan every batch of an iterable; returns them in order."""
         return [self.plan_batch(batch) for batch in batches]
-
-    def reset_donor(self) -> None:
-        """Forget the previous batch (the next one plans cold or cached)."""
-        self._donor = None

@@ -16,8 +16,9 @@ clock.  The request path is:
    headroom allows;
 4. **dispatch**: the batch's cross-partition vertex set is priced as a
    restricted forward-only plan (batch-plan cache keyed by content
-   fingerprint; the full forward plan itself is fingerprinted into the
-   shared :class:`~repro.autotune.cache.PlanCache` when one is given).
+   fingerprint; the full deployment's plan itself is resolved through
+   the shared :class:`~repro.autotune.cache.PlanCache` when one is
+   given).
    Faults from :mod:`repro.faults` drive the retry → repair → degrade
    ladder per batch, with exponential backoff on the simulated clock;
 5. **feedback**: windowed per-tenant p99 (via
@@ -42,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autotune.fingerprint import cache_key
+from repro.autotune.resolver import PlanResolver
 from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation
 from repro.core.spst import SPSTPlanner
@@ -256,24 +258,34 @@ class _Deployment:
         graph: Graph,
         base_topology: Topology,
         devices: Sequence[int],
-        bytes_per_unit: float,
-        partition_seed: int,
+        config: "ServeConfig",
+        plan_cache=None,
     ) -> None:
-        """Partition, plan and pre-compute lookup tables for ``devices``."""
+        """Partition, plan and pre-compute lookup tables for ``devices``;
+        the plan comes from ``plan_cache`` on a hit."""
         self.devices: Tuple[int, ...] = tuple(devices)
         n = len(self.devices)
         if n == base_topology.num_devices:
             self.topology = base_topology
         else:
             self.topology = base_topology.restrict(self.devices)
-        part = partition(graph, n, seed=partition_seed)
+        seed = config.partition_seed
+        part = partition(graph, n, seed=seed)
         self.assignment = part.assignment
         self.relation = CommRelation(graph, part.assignment, n)
-        train_plan = SPSTPlanner(self.topology, seed=partition_seed).plan(
-            self.relation
+        resolution = PlanResolver(plan_cache).resolve(
+            self.relation,
+            self.topology,
+            lambda: cache_key(
+                graph, self.assignment, self.topology,
+                {"purpose": "serve-forward", "strategy": "spst", "seed": seed},
+            ),
+            lambda: SPSTPlanner(self.topology, seed=seed).plan(self.relation),
+            meta={"purpose": "serve-forward"},
         )
-        self.train_plan = train_plan
-        self.plan: ForwardOnlyPlan = forward_only(train_plan)
+        #: Which rung produced the plan ("cache" or "planned").
+        self.source = resolution.source
+        self.plan: ForwardOnlyPlan = forward_only(resolution.plan)
         self.connections = frozenset(plan_connections(self.plan))
         #: Vertices the plan actually moves (sorted, for intersection).
         if self.plan.routes:
@@ -283,7 +295,7 @@ class _Deployment:
         else:  # pragma: no cover - degenerate single-class graphs
             self.moved = np.empty(0, dtype=np.int64)
         total_units = max(1, self.plan.total_units())
-        self.base_service = self.plan.estimated_cost(bytes_per_unit)
+        self.base_service = self.plan.estimated_cost(config.bytes_per_unit)
         self.unit_service = self.base_service / total_units
         self._graph = graph
 
@@ -348,9 +360,9 @@ class ServeSession:
         plan_cache=None,
         scenario: str = "custom",
     ) -> None:
-        """Build the deployments (small + full when autoscaling) and,
-        when a shared plan cache is given, fingerprint the full
-        forward plan into it."""
+        """Build the deployments (small + full when autoscaling); with a
+        shared plan cache the full deployment's plan is resolved
+        through it."""
         if not tenants:
             raise ServeSpecError("a serving session needs at least one tenant")
         names = [t.name for t in tenants]
@@ -365,8 +377,7 @@ class ServeSession:
         self.scenario = scenario
         cfg = self.config
         self.full = _Deployment(
-            graph, topology, range(topology.num_devices),
-            cfg.bytes_per_unit, cfg.partition_seed,
+            graph, topology, range(topology.num_devices), cfg, plan_cache
         )
         self.small: Optional[_Deployment] = None
         if cfg.autoscale is not None:
@@ -376,29 +387,11 @@ class ServeSession:
                     "autoscale initial_devices must be below the "
                     "topology's device count"
                 )
-            self.small = _Deployment(
-                graph, topology, range(k),
-                cfg.bytes_per_unit, cfg.partition_seed,
-            )
+            self.small = _Deployment(graph, topology, range(k), cfg)
         self.plan_cache = plan_cache
-        self.plan_cache_source = ""
-        if plan_cache is not None:
-            key = cache_key(
-                graph, self.full.assignment, topology,
-                {"purpose": "serve-forward", "strategy": "spst",
-                 "seed": cfg.partition_seed},
-            )
-            cached = plan_cache.get(key, topology)
-            if cached is not None:
-                self.full.plan = forward_only(cached)
-                self.full.connections = frozenset(
-                    plan_connections(self.full.plan)
-                )
-                self.plan_cache_source = "cache"
-            else:
-                plan_cache.put(key, self.full.train_plan,
-                               meta={"purpose": "serve-forward"})
-                self.plan_cache_source = "planned"
+        self.plan_cache_source = (
+            self.full.source if plan_cache is not None else ""
+        )
 
     # ------------------------------------------------------------------
     # Request-stream generation (pure function of the seed)

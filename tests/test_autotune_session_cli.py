@@ -57,6 +57,22 @@ class TestSessionAuto:
             assert np.array_equal(a.vertices, b.vertices)
             assert a.edges == b.edges
 
+    def test_replayed_build_records_no_stale_pick(self, small_graph, tmp_path):
+        session = DGCLSession(dgx1(), strategy="auto", plan_cache=tmp_path)
+        session.build_comm_info(small_graph)
+        assert session.tune_report is not None
+        first = session.plan_cache.load_document(
+            session.plan_cache.path_for(session._cache_key)
+        )
+        assert "picked" in first["meta"]
+        report = session.shrink([6, 7])
+        assert report.plan_source in ("patched", "replanned")
+        assert session.tune_report is None
+        entry = session.plan_cache.load_document(
+            session.plan_cache.path_for(session._cache_key)
+        )
+        assert "picked" not in entry["meta"]
+
     def test_partition_drift_patches_from_sibling(self, small_graph, tmp_path):
         topo = dgx1()
         base = DGCLSession(topo, strategy="spst", plan_cache=tmp_path)

@@ -169,8 +169,6 @@ class TestElasticController:
             ElasticPolicy(min_devices=4, max_devices=2)
         with pytest.raises(ElasticSpecError):
             ElasticPolicy(replan="sometimes")
-        with pytest.raises(ElasticSpecError):
-            ElasticPolicy(threshold=0.0)
 
 
 class TestRepairPlanAdditions:

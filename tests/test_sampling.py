@@ -215,10 +215,10 @@ class TestBatchPlanner:
         snap = registry.snapshot()
         counts = {
             key: val for key, val in snap.items()
-            if key.startswith("sampling.batch_plan")
+            if key.startswith("plan.resolve{")
         }
         assert sum(counts.values()) == 3
-        assert snap["sampling.plan_wall_seconds"]["count"] == 3
+        assert snap["plan.resolve.seconds"]["count"] == 3
 
     def test_assignment_must_cover_parent(self, graph, topology):
         with pytest.raises(ValueError):

@@ -284,6 +284,24 @@ class TestHealthyScenario:
         assert b.pop("plan_cache_source") == "cache"
         assert a == b
 
+    def test_plan_cache_hit_skips_planning(self, tmp_path, monkeypatch):
+        from repro.autotune.cache import PlanCache
+        from repro.core.spst import SPSTPlanner
+
+        cache = PlanCache(tmp_path / "plans")
+        calls = []
+        plan = SPSTPlanner.plan
+        monkeypatch.setattr(
+            SPSTPlanner, "plan",
+            lambda self, *a, **k: calls.append(1) or plan(self, *a, **k),
+        )
+        build_scenario("poisson", horizon_scale=0.2, plan_cache=cache)
+        cold = len(calls)
+        build_scenario("poisson", horizon_scale=0.2, plan_cache=cache)
+        # The scenario's SLO probe plans both times; the deployment
+        # plans cold and loads its plan warm.
+        assert (cold, len(calls) - cold) == (2, 1)
+
     def test_session_rejects_empty_and_duplicate_tenants(self):
         from repro.graph.generators import rmat
         from repro.serve import TenantSpec
