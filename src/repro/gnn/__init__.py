@@ -6,10 +6,14 @@ CommNet and GIN — with hand-written backward passes, a full-graph
 trainer, and the cost descriptors the simulator uses to price each
 layer's computation.
 
-The distributed trainer lives in :mod:`repro.gnn.distributed`; it runs
-the same layers on per-device partitions, calling graphAllgather between
-layers, and is bit-compatible with the single-device trainer — the
-library's strongest end-to-end correctness check.
+The distributed trainers run the same layers on per-device partitions,
+calling graphAllgather between layers, through one shared pass,
+:func:`repro.gnn.distributed.data_parallel_pass`: the full-graph
+``DistributedTrainer`` (bit-compatible with the single-device trainer —
+the library's strongest end-to-end correctness check) and the sampled
+:class:`MiniBatchTrainer` differ only in the allgather they plug in and
+the rows that carry the loss.  Trainer telemetry is priced and laid out
+after the pass, so it never touches the numerics.
 """
 
 from repro.gnn.functional import (

@@ -8,6 +8,11 @@ communication trees.  Model weights are data-parallel: gradients are
 summed across devices (the paper delegates this to Horovod/DDP and
 notes GNN models are small).
 
+:func:`data_parallel_pass` is that layer loop, written once: the
+full-graph :class:`DistributedTrainer` and the sampled
+:class:`~repro.gnn.minibatch.MiniBatchTrainer` both run it, differing
+only in the allgather they plug in and the rows that carry the loss.
+
 The trainer is *functionally* distributed — every embedding row really
 moves through the planned trees — while running in one process.  Its
 output is asserted (in the test suite) to be bit-identical to
@@ -18,8 +23,7 @@ training from the algorithm perspective").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,13 +33,88 @@ from repro.core.relation import CommRelation
 from repro.gnn.functional import softmax_cross_entropy
 from repro.gnn.layers import GraphContext
 from repro.gnn.models import GNNModel, SGD
-from repro.gnn.training import EpochResult
+from repro.gnn.training import EpochResult, check_training_inputs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import TRAINER_TRACK, Tracer, device_track
 
-__all__ = ["DistributedTrainer"]
+__all__ = ["DistributedTrainer", "data_parallel_pass", "device_contexts"]
 
 BYTES_PER_FLOAT = 4
+
+WeightGrads = List[Dict[str, np.ndarray]]
+
+
+def device_contexts(relation: CommRelation) -> List[GraphContext]:
+    """Every device's layer context over its local graph."""
+    contexts = []
+    for d in range(relation.num_devices):
+        lg = relation.local_graph(d)
+        contexts.append(GraphContext.from_graph(lg.graph, num_dst=lg.num_local))
+    return contexts
+
+
+def data_parallel_pass(
+    model: GNNModel,
+    contexts: Sequence[GraphContext],
+    inputs: Sequence[np.ndarray],
+    targets: Sequence[Tuple[Optional[np.ndarray], np.ndarray]],
+    num_targets: int,
+    allgather,
+) -> Tuple[float, WeightGrads, List[np.ndarray]]:
+    """One data-parallel forward/backward pass over every device.
+
+    Forward: before each layer, ``allgather.forward`` adds the remote
+    rows to every device's local rows; each device then runs the layer
+    on its own context.  Loss: ``targets[d]`` is ``(rows, labels)``,
+    the output rows of device ``d`` that carry a loss (``None`` for all
+    of them) and their labels.  Each device's mean cross-entropy is
+    weighted by its share of ``num_targets``, so the sum is the global
+    mean.  Backward: the layers run in reverse and, between them,
+    ``allgather.backward`` returns remote-row gradients to their owners.
+
+    Returns the loss, the weight gradients summed over devices, and
+    every device's output rows.
+    """
+    num_devices = len(contexts)
+    h_local = list(inputs)
+    caches: List[List] = [[] for _ in range(num_devices)]
+    for layer in model.layers:
+        h_full = allgather.forward(h_local)
+        for d in range(num_devices):
+            h_local[d], cache = layer.forward(contexts[d], h_full[d])
+            caches[d].append(cache)
+
+    loss = 0.0
+    grad: List[np.ndarray] = []
+    for out, (rows, labels) in zip(h_local, targets):
+        picked = out if rows is None else out[rows]
+        if picked.shape[0] == 0:
+            grad.append(np.zeros_like(out))
+            continue
+        l_d, g_d = softmax_cross_entropy(picked, labels)
+        weight = picked.shape[0] / num_targets
+        loss += l_d * weight
+        if rows is None:
+            grad.append(g_d * weight)
+        else:
+            grad.append(np.zeros_like(out))
+            grad[-1][rows] = g_d * weight
+
+    weight_grads: WeightGrads = [None] * model.num_layers
+    for li in reversed(range(model.num_layers)):
+        layer = model.layers[li]
+        full_grads = []
+        for d in range(num_devices):
+            g_full, g_params = layer.backward(contexts[d], caches[d][li], grad[d])
+            full_grads.append(g_full)
+            if weight_grads[li] is None:
+                weight_grads[li] = {k: v.copy() for k, v in g_params.items()}
+            else:
+                for k, v in g_params.items():
+                    weight_grads[li][k] += v
+        if li > 0:  # input features need no gradient: layer 0 skips it
+            grad = allgather.backward(full_grads)
+    return loss, weight_grads, h_local
 
 
 class DistributedTrainer:
@@ -53,8 +132,8 @@ class DistributedTrainer:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if features.shape[0] != relation.graph.num_vertices:
-            raise ValueError("features must cover every vertex")
+        check_training_inputs(model, features, labels,
+                              relation.graph.num_vertices)
         self.relation = relation
         self.plan = plan
         self.model = model
@@ -64,30 +143,17 @@ class DistributedTrainer:
         self.loss_history: List[float] = []
 
         self.num_devices = relation.num_devices
-        self._contexts: List[GraphContext] = []
-        self._local_features: List[np.ndarray] = []
-        self._local_labels: List[np.ndarray] = []
-        self._slices: List[tuple] = []  # (num_dst, num_rows, num_edges)
-        for d in range(self.num_devices):
-            lg = relation.local_graph(d)
-            self._contexts.append(
-                GraphContext.from_graph(lg.graph, num_dst=lg.num_local)
-            )
-            self._slices.append(
-                (lg.num_local, lg.graph.num_vertices, lg.graph.num_edges)
-            )
-            local_ids = relation.local_vertices[d]
-            self._local_features.append(
-                features[local_ids].astype(np.float32, copy=True)
-            )
-            self._local_labels.append(labels[local_ids])
+        self._contexts = device_contexts(relation)
+        self._local_features = [features[ids].astype(np.float32, copy=False)
+                                for ids in relation.local_vertices]
+        self._targets = [(None, labels[ids]) for ids in relation.local_vertices]
         self._total_vertices = relation.graph.num_vertices
 
         #: Optional telemetry.  The functional trainer has no clock of
         #: its own, so phases are priced the same way the evaluation
         #: does — collectives on the flow simulator, kernels on the
-        #: compute model — and laid out on the tracer's phase clock.
-        #: Numerics never depend on the tracer.
+        #: compute model — and laid out on the tracer's phase clock
+        #: after each pass.  Numerics never depend on the tracer.
         self.tracer = tracer
         self.metrics = metrics
         self._price_executor = None
@@ -108,7 +174,7 @@ class DistributedTrainer:
                 )
 
     # ------------------------------------------------------------------
-    # Telemetry pricing (no-ops unless a tracer/metrics sink is set)
+    # Telemetry pricing (only when a tracer/metrics sink is set)
     def _trace_comm(self, name: str, dim: int, backward: bool) -> None:
         """Price one collective and lay its spans on the phase clock."""
         tracer = self.tracer
@@ -125,8 +191,8 @@ class DistributedTrainer:
     def _trace_compute(self, name: str, layer, backward: bool) -> None:
         """Price one layer's kernels; one span per device, max advances."""
         durations = []
-        for num_dst, num_rows, num_edges in self._slices:
-            cost = layer.compute_cost(num_dst, num_rows, num_edges)
+        for ctx in self._contexts:
+            cost = layer.compute_cost(ctx.num_dst, ctx.num_rows, ctx.num_edges)
             if backward:
                 cost = cost.scaled(2.0)
             durations.append(self._compute_model.seconds(cost))
@@ -143,98 +209,52 @@ class DistributedTrainer:
                 worst - min(durations)
             )
 
+    def _trace_epoch(self, loss: float, update: bool) -> None:
+        """Lay one finished pass's phases on the phase clock, in pass order.
+
+        Allgather and forward per layer, then backward and scatter per
+        layer in reverse (layer 0 has no scatter), then the optimizer
+        allreduce and the epoch span.
+        """
+        tracer = self.tracer
+        start = tracer.now if tracer is not None else 0.0
+        dims = self.model.layer_dims
+        for li, layer in enumerate(self.model.layers):
+            self._trace_comm(f"allgather L{li}", dims[li], backward=False)
+            self._trace_compute(f"L{li} forward", layer, backward=False)
+        for li in reversed(range(self.model.num_layers)):
+            self._trace_compute(f"L{li} backward", self.model.layers[li],
+                                backward=True)
+            if li > 0:
+                self._trace_comm(f"scatter L{li}", dims[li], backward=True)
+        if tracer is None:
+            return
+        if update:
+            t0 = tracer.now
+            tracer.add_span(
+                "optimizer.allreduce", "phase", TRAINER_TRACK, t0,
+                t0 + self._sync_seconds, bytes=self.model.state_bytes(),
+            )
+            tracer.advance(self._sync_seconds)
+        tracer.add_span(f"epoch {len(self.loss_history)}", "epoch",
+                        TRAINER_TRACK, start, tracer.now, loss=float(loss))
+        if self.metrics is not None:
+            self.metrics.histogram("epoch.seconds").observe(tracer.now - start)
+
     # ------------------------------------------------------------------
     def run_epoch(self, update: bool = True) -> EpochResult:
         """One distributed forward/backward pass (all devices)."""
-        num_layers = self.model.num_layers
-        traced = self._price_executor is not None
-        tracer = self.tracer
-        epoch = len(self.loss_history)
-        epoch_start = tracer.now if tracer is not None else 0.0
-        h_local = [f.copy() for f in self._local_features]
-        caches: List[List] = [[] for _ in range(self.num_devices)]
-        full_inputs: List[List[np.ndarray]] = [[] for _ in range(self.num_devices)]
-
-        for li, layer in enumerate(self.model.layers):
-            if traced:
-                self._trace_comm(
-                    f"allgather L{li}", self.model.layer_dims[li],
-                    backward=False,
-                )
-            # graphAllgather: fetch remote rows for this layer boundary.
-            h_full = self.allgather.forward(h_local)
-            for d in range(self.num_devices):
-                out, cache = layer.forward(self._contexts[d], h_full[d])
-                caches[d].append(cache)
-                full_inputs[d].append(h_full[d])
-                h_local[d] = out
-            if traced:
-                self._trace_compute(f"L{li} forward", layer, backward=False)
-
-        # Loss: global mean cross-entropy over all vertices.  The local
-        # helper normalises by the local count, so rescale each device's
-        # contribution by n_local / N to match the reference trainer.
-        loss = 0.0
-        grad_local: List[np.ndarray] = []
-        for d in range(self.num_devices):
-            n_local = h_local[d].shape[0]
-            if n_local == 0:
-                grad_local.append(h_local[d].copy())
-                continue
-            l_d, g_d = softmax_cross_entropy(h_local[d], self._local_labels[d])
-            weight = n_local / self._total_vertices
-            loss += l_d * weight
-            grad_local.append(g_d * weight)
-
-        # Backward through layers, scattering remote grads between them.
-        weight_grads: List[Dict[str, np.ndarray]] = [
-            None for _ in range(self.model.num_layers)
-        ]
-        grad = grad_local
-        for li in reversed(range(num_layers)):
-            layer = self.model.layers[li]
-            full_grads = []
-            for d in range(self.num_devices):
-                g_full, g_params = layer.backward(
-                    self._contexts[d], caches[d][li], grad[d]
-                )
-                full_grads.append(g_full)
-                if weight_grads[li] is None:
-                    weight_grads[li] = {k: v.copy() for k, v in g_params.items()}
-                else:
-                    for k, v in g_params.items():
-                        weight_grads[li][k] += v
-            if traced:
-                self._trace_compute(f"L{li} backward", layer, backward=True)
-            if li == 0:
-                break  # input features need no gradient: skip the scatter
-            if traced:
-                self._trace_comm(
-                    f"scatter L{li}", self.model.layer_dims[li], backward=True
-                )
-            # Gradient scatter: remote rows travel back to their owners.
-            grad = self.allgather.backward(full_grads)
-
+        loss, weight_grads, outputs = data_parallel_pass(
+            self.model, self._contexts, self._local_features, self._targets,
+            self._total_vertices, self.allgather,
+        )
         if update:
             self.optimizer.step(weight_grads)
-            if traced and tracer is not None:
-                t0 = tracer.now
-                tracer.add_span(
-                    "optimizer.allreduce", "phase", TRAINER_TRACK, t0,
-                    t0 + self._sync_seconds, bytes=self.model.state_bytes(),
-                )
-                tracer.advance(self._sync_seconds)
-
-        logits = self.gather_logits(h_local)
+        if self._price_executor is not None:
+            self._trace_epoch(loss, update)
         self.loss_history.append(loss)
-        if tracer is not None:
-            tracer.add_span(f"epoch {epoch}", "epoch", TRAINER_TRACK,
-                            epoch_start, tracer.now, loss=float(loss))
-            if self.metrics is not None:
-                self.metrics.histogram("epoch.seconds").observe(
-                    tracer.now - epoch_start
-                )
-        return EpochResult(loss=loss, logits=logits, feature_grad=None)
+        return EpochResult(loss=loss, logits=self.gather_logits(outputs),
+                           feature_grad=None)
 
     def gather_logits(self, h_local: List[np.ndarray]) -> np.ndarray:
         """Assemble per-device outputs into global vertex order."""

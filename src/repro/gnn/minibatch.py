@@ -5,7 +5,7 @@ The sampled-training counterpart of
 seed batch from a :class:`~repro.sampling.loader.SeedLoader`, samples
 its subgraph, plans the batch's communication through the
 :class:`~repro.sampling.planner.BatchPlanner` ladder (cache → patch →
-cold SPST) and runs a data-parallel forward/backward on the batch's
+cold SPST) and runs the shared data-parallel pass on the batch's
 own :class:`~repro.core.relation.CommRelation`.  The loss is taken on
 the *seed* rows only — the layer-sampled halo rows exist purely to
 feed aggregation, exactly as in DistDGL.
@@ -21,14 +21,20 @@ precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
 from repro.comm.allgather import CompiledAllgather
+from repro.gnn.distributed import (
+    WeightGrads,
+    data_parallel_pass,
+    device_contexts,
+)
 from repro.gnn.functional import softmax_cross_entropy
 from repro.gnn.layers import GraphContext
 from repro.gnn.models import GNNModel, SGD
+from repro.gnn.training import check_training_inputs
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports.
     # Imported lazily: repro.sampling pulls in repro.autotune, whose
@@ -38,8 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports.
     from repro.sampling.samplers import SampledSubgraph
 
 __all__ = ["MiniBatchResult", "MiniBatchOracle", "MiniBatchTrainer"]
-
-WeightGrads = List[Dict[str, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -51,20 +55,6 @@ class MiniBatchResult:
     num_vertices: int
     plan_source: str
     plan_wall_seconds: float
-
-
-def _check_io(model: GNNModel, features: np.ndarray, labels: np.ndarray,
-              num_vertices: int) -> None:
-    """Shared input validation of both trainer variants."""
-    if features.shape[0] != num_vertices:
-        raise ValueError("features must cover every parent vertex")
-    if labels.shape[0] != num_vertices:
-        raise ValueError("labels must cover every parent vertex")
-    if features.shape[1] != model.layer_dims[0]:
-        raise ValueError(
-            f"feature width {features.shape[1]} does not match the "
-            f"model input {model.layer_dims[0]}"
-        )
 
 
 class MiniBatchOracle:
@@ -86,7 +76,7 @@ class MiniBatchOracle:
         lr: float = 0.01,
         optimizer=None,
     ) -> None:
-        _check_io(model, features, labels, features.shape[0])
+        check_training_inputs(model, features, labels, features.shape[0])
         self.model = model
         self.features = features.astype(np.float32, copy=True)
         self.labels = labels
@@ -133,9 +123,9 @@ class MiniBatchTrainer:
     partition held by ``planner`` (a vertex lands on the same device
     whether it arrives full-graph or sampled), compiles the batch plan
     into a :class:`~repro.comm.allgather.CompiledAllgather` and runs
-    the standard layer loop: allgather → layer forward per device,
-    then backward with gradient scatter between layers and summed
-    (data-parallel) weight gradients.
+    the full-graph trainer's layer loop,
+    :func:`~repro.gnn.distributed.data_parallel_pass`, with the loss on
+    each device's seed rows.
     """
 
     def __init__(
@@ -149,7 +139,8 @@ class MiniBatchTrainer:
         lr: float = 0.01,
         optimizer=None,
     ) -> None:
-        _check_io(model, features, labels, planner.graph.num_vertices)
+        check_training_inputs(model, features, labels,
+                              planner.graph.num_vertices)
         self.model = model
         self.features = features.astype(np.float32, copy=True)
         self.labels = labels
@@ -169,71 +160,17 @@ class MiniBatchTrainer:
         No optimizer update — this is the surface the parity suite
         compares against :meth:`MiniBatchOracle.batch_gradients`.
         """
-        batch, relation, plan = planned.subgraph, planned.relation, planned.plan
-        num_devices = relation.num_devices
-        allgather = CompiledAllgather(relation, plan)
-
-        contexts: List[GraphContext] = []
-        h_local: List[np.ndarray] = []
-        seed_pos: List[np.ndarray] = []
-        seed_labels: List[np.ndarray] = []
-        seed_rows = batch.seed_rows
-        for d in range(num_devices):
-            lg = relation.local_graph(d)
-            contexts.append(
-                GraphContext.from_graph(lg.graph, num_dst=lg.num_local)
-            )
-            local_ids = relation.local_vertices[d]  # batch-local vertex ids
-            h_local.append(self.features[batch.vertices[local_ids]].copy())
-            pos = np.flatnonzero(np.isin(local_ids, seed_rows))
-            seed_pos.append(pos)
-            seed_labels.append(self.labels[batch.vertices[local_ids[pos]]])
-
-        caches: List[List] = [[] for _ in range(num_devices)]
-        for layer in self.model.layers:
-            h_full = allgather.forward(h_local)
-            for d in range(num_devices):
-                out, cache = layer.forward(contexts[d], h_full[d])
-                caches[d].append(cache)
-                h_local[d] = out
-
-        # Loss on the seed rows only, globally mean-normalised: each
-        # device's mean over its local seeds is rescaled by
-        # n_local_seeds / num_seeds so the sum matches the oracle.
-        total_seeds = batch.num_seeds
-        loss = 0.0
-        grad: List[np.ndarray] = []
-        for d in range(num_devices):
-            g = np.zeros_like(h_local[d])
-            pos = seed_pos[d]
-            if pos.size:
-                l_d, g_d = softmax_cross_entropy(
-                    h_local[d][pos], seed_labels[d]
-                )
-                weight = pos.size / total_seeds
-                loss += l_d * weight
-                g[pos] = g_d * weight
-            grad.append(g)
-
-        weight_grads: WeightGrads = [None] * self.model.num_layers
-        for li in reversed(range(self.model.num_layers)):
-            layer = self.model.layers[li]
-            full_grads = []
-            for d in range(num_devices):
-                g_full, g_params = layer.backward(
-                    contexts[d], caches[d][li], grad[d]
-                )
-                full_grads.append(g_full)
-                if weight_grads[li] is None:
-                    weight_grads[li] = {
-                        k: v.copy() for k, v in g_params.items()
-                    }
-                else:
-                    for k, v in g_params.items():
-                        weight_grads[li][k] += v
-            if li == 0:
-                break  # input features carry no gradient
-            grad = allgather.backward(full_grads)
+        batch, relation = planned.subgraph, planned.relation
+        inputs, targets = [], []
+        for local_ids in relation.local_vertices:  # batch-local vertex ids
+            parent_ids = batch.vertices[local_ids]
+            seed_pos = np.flatnonzero(np.isin(local_ids, batch.seed_rows))
+            inputs.append(self.features[parent_ids])
+            targets.append((seed_pos, self.labels[parent_ids[seed_pos]]))
+        loss, weight_grads, _ = data_parallel_pass(
+            self.model, device_contexts(relation), inputs, targets,
+            batch.num_seeds, CompiledAllgather(relation, planned.plan),
+        )
         return loss, weight_grads
 
     def run_batch(

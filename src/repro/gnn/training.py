@@ -19,7 +19,32 @@ from repro.gnn.models import GNNModel, SGD
 from repro.graph.csr import Graph
 from repro.obs.tracer import Tracer, device_track
 
-__all__ = ["EpochResult", "SingleDeviceTrainer"]
+__all__ = ["EpochResult", "SingleDeviceTrainer", "check_training_inputs"]
+
+
+def check_training_inputs(model: GNNModel, features: np.ndarray,
+                          labels: np.ndarray, num_vertices: int) -> None:
+    """Reject features or labels that do not fit the graph and the model.
+
+    Every trainer calls this at construction, so a short label vector
+    or a too-wide feature matrix fails there with a ``ValueError``
+    rather than as an index or matmul error inside an epoch.
+    """
+    if features.ndim != 2 or features.shape[0] != num_vertices:
+        raise ValueError(
+            f"features must be a matrix with one row per vertex "
+            f"({num_vertices}), got shape {features.shape}"
+        )
+    if labels.shape[0] != num_vertices:
+        raise ValueError(
+            f"labels must cover every vertex ({num_vertices}), "
+            f"got {labels.shape[0]}"
+        )
+    if features.shape[1] != model.layer_dims[0]:
+        raise ValueError(
+            f"feature width {features.shape[1]} does not match the "
+            f"model input {model.layer_dims[0]}"
+        )
 
 
 @dataclass
@@ -44,15 +69,7 @@ class SingleDeviceTrainer:
         optimizer=None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if features.shape[0] != graph.num_vertices:
-            raise ValueError("features must cover every vertex")
-        if labels.shape[0] != graph.num_vertices:
-            raise ValueError("labels must cover every vertex")
-        if features.shape[1] != model.layer_dims[0]:
-            raise ValueError(
-                f"feature width {features.shape[1]} does not match the "
-                f"model input {model.layer_dims[0]}"
-            )
+        check_training_inputs(model, features, labels, graph.num_vertices)
         self.graph = graph
         self.model = model
         self.features = features.astype(np.float32, copy=True)

@@ -138,7 +138,9 @@ class DistGNNTrainer(DistributedTrainer):
     Identical to :class:`~repro.gnn.distributed.DistributedTrainer`
     except the allgather is staleness-bounded; at ``staleness=0`` every
     epoch refreshes and the two trainers are bit-identical (pinned by
-    the gradient-parity tests and the chaos tolerance ladder).
+    the gradient-parity tests and the chaos tolerance ladder).  Armed
+    with telemetry, it prices collectives on refresh epochs only, as
+    the cost model's ``1 / (staleness+1)`` amortisation does.
     """
 
     def __init__(self, *args, staleness: int = 0, **kwargs) -> None:
@@ -152,3 +154,8 @@ class DistGNNTrainer(DistributedTrainer):
     def run_epoch(self, update: bool = True):
         self.allgather.begin_epoch()
         return super().run_epoch(update=update)
+
+    def _trace_comm(self, name: str, dim: int, backward: bool) -> None:
+        # A stale epoch moves zero bytes, so it prices no collective.
+        if self.allgather.fresh:
+            super()._trace_comm(name, dim, backward)

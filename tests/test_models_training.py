@@ -173,6 +173,14 @@ class TestDistributedEquivalence:
         with pytest.raises(ValueError):
             DistributedTrainer(rel, plan, build_gcn(24, 12, 5), feats[:-1],
                                labels)
+        # Short labels and too-wide features fail at construction, not
+        # as an index or matmul error inside the first epoch.
+        with pytest.raises(ValueError):
+            DistributedTrainer(rel, plan, build_gcn(24, 12, 5), feats,
+                               labels[:-5])
+        with pytest.raises(ValueError):
+            DistributedTrainer(rel, plan, build_gcn(24, 12, 5),
+                               np.concatenate([feats, feats], axis=1), labels)
 
 
 @pytest.mark.slow

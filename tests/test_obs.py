@@ -27,6 +27,7 @@ from repro.obs import (
     to_chrome_trace,
     to_jsonl_events,
 )
+from repro.obs.tracer import TRAINER_TRACK
 from repro.partition import partition
 from repro.runtime.protocol import ProtocolRunner
 from repro.simulator.executor import PlanExecutor
@@ -306,6 +307,25 @@ class TestUnarmedRegression:
             [t.cost for t in audited.trials]
         assert plain.candidate == audited.candidate
         assert len(auditor.records) > 0
+
+
+class TestTrainerTelemetry:
+    def test_phase_order(self, planned):
+        """An armed 2-layer epoch lays its phases out in the pass's
+        order: forward per layer, backward and scatter in reverse."""
+        graph, rel, plan = planned
+        tracer = Tracer()
+        DistributedTrainer(
+            rel, plan, build_model("gcn", 16, 8, 5, seed=0),
+            synthetic_features(graph, 16), synthetic_labels(graph, 5),
+            tracer=tracer,
+        ).run_epoch()
+        names = [s.name for s in tracer.spans if s.track == TRAINER_TRACK]
+        assert names == [
+            "allgather L0", "L0 forward", "allgather L1", "L1 forward",
+            "L1 backward", "scatter L1", "L0 backward",
+            "optimizer.allreduce", "epoch 0",
+        ]
 
 
 class TestResilientTelemetry:

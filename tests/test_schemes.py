@@ -26,6 +26,8 @@ from repro.gnn import SingleDeviceTrainer, build_gcn
 from repro.gnn.distributed import DistributedTrainer
 from repro.graph.datasets import synthetic_features, synthetic_labels
 from repro.graph.generators import rmat
+from repro.obs import Tracer
+from repro.obs.tracer import TRAINER_TRACK
 from repro.partition import partition
 from repro.schemes import (
     get_scheme,
@@ -316,6 +318,34 @@ class TestDistGNN:
         kept = ag.backward(grads)
         for d, got in enumerate(kept):
             assert got.shape[0] == rel.local_vertices[d].size
+
+    def test_stale_epoch_traces_no_comm(self, task):
+        """Armed, a stale epoch prices no allgather and no scatter."""
+        g, feats, labels, rel = task
+        plan = get_scheme("distgnn-delayed").build_plan(rel, dgx1())
+
+        def run(tracer):
+            return DistGNNTrainer(
+                rel, plan, build_gcn(12, 8, 5, seed=2), feats, labels,
+                lr=0.1, staleness=1, tracer=tracer,
+            ).train(2)
+
+        tracer = Tracer()
+        assert run(tracer) == run(None)
+        epochs: list = [[]]
+        for span in tracer.spans:
+            if span.track == TRAINER_TRACK:
+                epochs[-1].append(span.name)
+                if span.cat == "epoch":
+                    epochs.append([])
+
+        def comm(names, kind):
+            return sum(name.startswith(kind) for name in names)
+
+        fresh, stale, _ = epochs
+        assert comm(fresh, "allgather") == 2 and comm(fresh, "scatter") == 1
+        assert comm(stale, "allgather") == 0 and comm(stale, "scatter") == 0
+        assert "L0 forward" in stale  # compute is still priced
 
     def test_amortised_pricing(self):
         workload = Workload("reddit", "gcn", dgx1())
