@@ -11,8 +11,10 @@ Components:
 
 * :mod:`repro.runtime.events` — a small generator-coroutine
   discrete-event simulator (timeouts, conditions, flag waits);
-* :mod:`repro.runtime.network` — an incremental flow engine sharing the
-  max-min fairness model of :mod:`repro.simulator.network`;
+* :mod:`repro.runtime.network` — the fluid flow engine (max-min fair
+  bandwidth sharing with dynamic arrivals); the only one —
+  :class:`~repro.simulator.network.NetworkSimulator` drives it for a
+  fixed flow set;
 * :mod:`repro.runtime.flags` — the ready/done flag boards peers poll
   (§6.1), with configurable remote-access latency;
 * :mod:`repro.runtime.protocol` — the DGCL master and client processes

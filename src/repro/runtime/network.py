@@ -1,12 +1,21 @@
-"""Incremental flow engine for the protocol runtime.
+"""The fluid flow engine: max-min fair bandwidth sharing over time.
 
-The batch simulator in :mod:`repro.simulator.network` runs a fixed flow
-set to completion.  Here, processes post transfers *while the clock
-runs*, so the engine must re-solve the max-min fair allocation whenever
-the active set changes and keep exactly one pending completion event.
+Each transfer is a *flow* along a path of physical connections.  At any
+instant, the rate of every active flow is the max-min fair allocation:
+connections divide their bandwidth equally among the flows crossing
+them, and a flow's rate is set by its most contended hop (progressive
+filling).  The engine advances from flow completion to flow completion,
+recomputing rates — the classic fluid model of TCP-fair networks, which
+reproduces the paper's Table 3 (attainable QPI bandwidth drops roughly
+as 1/n with n concurrent users).  Every transfer also pays a fixed
+startup latency ``alpha`` before it moves bytes.
 
-The fairness model (and its numerical-sweep safeguards) is shared with
-the batch simulator via :func:`repro.simulator.network._max_min_rates`.
+Processes post transfers *while the clock runs*.  Whenever the active
+set changes, the engine re-solves the allocation once for that
+simulated instant — however many transfers began or ended in it — and
+keeps exactly one pending completion event.  This is the only flow
+engine: :class:`repro.simulator.network.NetworkSimulator` drives it for
+a fixed flow set.
 
 Chaos support: an optional ``capacity_of`` hook lets a fault injector
 scale (or zero) a connection's bandwidth while flows are in flight —
@@ -21,7 +30,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.runtime.events import Event, Simulator
-from repro.simulator.network import DEFAULT_ALPHA, _ActiveFlow, _max_min_rates
+from repro.simulator.network import DEFAULT_ALPHA, _check_amount
 from repro.topology.links import PhysicalConnection
 
 __all__ = ["LiveNetwork", "TransferHandle"]
@@ -50,10 +59,66 @@ class _LiveFlow:
         self.rate = 0.0
         self.handle = handle
 
-    # duck-type what _max_min_rates needs
-    @property
-    def flow(self):
-        return self
+
+def _drained(flow: _LiveFlow) -> bool:
+    """Completion threshold: one micro-byte absolute, or the subtraction
+    residue of a large transfer.  Without the relative term, a residue
+    below the float resolution of the clock could stall it."""
+    return flow.remaining <= max(1e-6, 1e-12 * flow.handle.size_bytes)
+
+
+def _max_min_rates(
+    active: List[_LiveFlow],
+    capacity_of: Optional[Callable[[PhysicalConnection], float]] = None,
+) -> None:
+    """Assign max-min fair rates to ``active`` flows, in place.
+
+    ``capacity_of`` optionally overrides each connection's bandwidth —
+    the fault injector's hook for degraded (scaled) or dead (zero
+    capacity) wires.  Flows crossing a zero-capacity hop get rate 0.
+    """
+    remaining_cap: Dict[str, float] = {}
+    conn_flows: Dict[str, List[_LiveFlow]] = {}
+    for af in active:
+        caps = []
+        for conn in af.path:
+            if conn.name not in remaining_cap:
+                remaining_cap[conn.name] = (
+                    capacity_of(conn) if capacity_of is not None else conn.bytes_per_second
+                )
+                conn_flows[conn.name] = []
+            caps.append(remaining_cap[conn.name])
+        if capacity_of is not None and any(c <= 0.0 for c in caps):
+            af.rate = 0.0  # stalled: left out of the filling below
+            continue
+        for conn in af.path:
+            conn_flows[conn.name].append(af)
+
+    unfixed_count = {name: len(flows) for name, flows in conn_flows.items()}
+    fixed = set()
+    while True:
+        # The bottleneck connection is the one offering the lowest fair
+        # share to its not-yet-fixed flows.
+        best_name: Optional[str] = None
+        best_share = float("inf")
+        for name, count in unfixed_count.items():
+            if count <= 0:
+                continue
+            share = remaining_cap[name] / count
+            if share < best_share:
+                best_share = share
+                best_name = name
+        if best_name is None:
+            return
+        for af in conn_flows[best_name]:
+            if id(af) in fixed:
+                continue
+            af.rate = best_share
+            fixed.add(id(af))
+            for conn in af.path:
+                remaining_cap[conn.name] -= best_share
+                unfixed_count[conn.name] -= 1
+        unfixed_count[best_name] = 0
 
 
 class LiveNetwork:
@@ -65,6 +130,7 @@ class LiveNetwork:
         alpha: float = DEFAULT_ALPHA,
         capacity_of: Optional[Callable[[PhysicalConnection], float]] = None,
     ) -> None:
+        _check_amount("alpha", alpha)
         self.sim = sim
         self.alpha = alpha
         #: Optional bandwidth override (bytes/s) for fault injection.
@@ -72,6 +138,7 @@ class LiveNetwork:
         self._active: List[_LiveFlow] = []
         self._last_update = 0.0
         self._completion_token = 0  # invalidates stale completion events
+        self._solve_armed = False
 
     # ------------------------------------------------------------------
     def transfer(
@@ -83,6 +150,7 @@ class LiveNetwork:
         """Start a transfer after the setup latency; returns its handle."""
         if not path:
             raise ValueError("transfer needs a non-empty path")
+        _check_amount("transfer size", size_bytes)
         handle = TransferHandle(size_bytes, tag)
 
         def begin() -> None:
@@ -90,11 +158,11 @@ class LiveNetwork:
                 return
             handle.start_time = self.sim.now
             self._progress_to_now()
-            if size_bytes <= 0:
-                self._finish(_LiveFlow(path, 0.0, handle))
+            if size_bytes == 0:
+                self._finish(handle)
                 return
             self._active.append(_LiveFlow(path, size_bytes, handle))
-            self._reschedule()
+            self._changed()
 
         self.sim.schedule(self.alpha, begin)
         return handle
@@ -106,12 +174,12 @@ class LiveNetwork:
         if len(survivors) != len(self._active):
             self._progress_to_now()
             self._active = survivors
-            self._reschedule()
+            self._changed()
 
     def capacities_changed(self) -> None:
         """Re-solve rates now — a connection's bandwidth just changed."""
         self._progress_to_now()
-        self._reschedule()
+        self._changed()
 
     def remaining(self, handle: TransferHandle) -> float:
         """Bytes still to move for ``handle`` (exact at the current time).
@@ -136,14 +204,29 @@ class LiveNetwork:
                 flow.remaining -= flow.rate * dt
         self._last_update = self.sim.now
 
-    def _finish(self, flow: _LiveFlow) -> None:
-        flow.handle.finish_time = self.sim.now
-        flow.handle.done.trigger()
+    def _finish(self, handle: TransferHandle) -> None:
+        handle.finish_time = self.sim.now
+        handle.done.trigger()
 
-    def _reschedule(self) -> None:
-        """Recompute rates and (re)arm the next completion event."""
+    def _changed(self) -> None:
+        """The active set or a capacity changed: disarm the pending
+        completion and re-solve once, later in this same instant."""
         self._completion_token += 1
-        token = self._completion_token
+        if not self._solve_armed:
+            self._solve_armed = True
+            self.sim.schedule(0.0, self._solve)
+
+    def _solve(self) -> None:
+        """Recompute rates and arm the next completion event.
+
+        If every active flow crosses a dead wire, nothing is armed and
+        the flows stall silently: the hardened protocol's transfer
+        timeout cancels and re-routes them, a capacity recovery
+        re-enters via :meth:`capacities_changed`, and
+        :class:`~repro.simulator.network.NetworkSimulator` reports the
+        flows left when the clock stops.
+        """
+        self._solve_armed = False
         if not self._active:
             return
         _max_min_rates(self._active, capacity_of=self.capacity_of)
@@ -159,32 +242,25 @@ class LiveNetwork:
             if dt < soonest_dt:
                 soonest, soonest_dt = flow, dt
         if soonest is None:
-            if self.capacity_of is not None:
-                # Every active flow crosses a dead wire.  Stall silently:
-                # the hardened protocol's transfer timeout will cancel and
-                # re-route; a capacity recovery re-enters via
-                # capacities_changed().
-                return
-            raise RuntimeError("active flows but none can make progress")
-        # Numerical sweep as in the batch engine: sub-microbyte residues
-        # complete immediately instead of stalling the clock.
-        if soonest_dt <= 0 or soonest.remaining <= max(
-            1e-6, 1e-12 * soonest.handle.size_bytes
-        ):
+            return
+        # Numerical sweep: drained residues complete immediately
+        # instead of stalling the clock.
+        if soonest_dt <= 0 or _drained(soonest):
             soonest_dt = 0.0
+        token = self._completion_token
 
         def complete() -> None:
             if token != self._completion_token:
                 return  # the active set changed; a newer event is armed
             self._progress_to_now()
-            threshold = lambda f: max(1e-6, 1e-12 * f.handle.size_bytes)
-            finished = [f for f in self._active if f.remaining <= threshold(f)]
+            finished = [f for f in self._active if _drained(f)]
             if not finished:
                 finished = [min(self._active, key=lambda f: f.remaining)]
-            self._active = [f for f in self._active if f not in finished]
+            done = {id(f) for f in finished}
+            self._active = [f for f in self._active if id(f) not in done]
             for flow in finished:
-                self._finish(flow)
-            self._reschedule()
+                self._finish(flow.handle)
+            self._changed()
 
         self.sim.schedule(soonest_dt, complete)
 

@@ -6,7 +6,8 @@ buffer shuffling, but *time* comes from
 
 * :mod:`repro.simulator.network` — a flow-level network simulator with
   max-min fair bandwidth sharing on contended physical connections and
-  an α–β (latency + size/bandwidth) transfer model;
+  an α–β (latency + size/bandwidth) transfer model, run on the fluid
+  engine of :mod:`repro.runtime.network`;
 * :mod:`repro.simulator.compute` — a calibrated FLOP/byte model for GNN
   layer computation;
 * :mod:`repro.simulator.devices` — per-GPU memory accounting with

@@ -1,13 +1,10 @@
-"""Flow-level network simulation with max-min fair sharing.
+"""Flow-level network simulation of a fixed flow set.
 
-Each transfer is a *flow* along a path of physical connections.  At any
-instant, the rate of every active flow is the max-min fair allocation:
-connections divide their bandwidth equally among the flows crossing
-them, and a flow's rate is set by its most contended hop (progressive
-filling).  The simulator advances from flow completion to flow
-completion, recomputing rates — the classic fluid model of TCP-fair
-networks, which reproduces the paper's Table 3 (attainable QPI bandwidth
-drops roughly as 1/n with n concurrent users).
+Each transfer is a :class:`Flow` along a path of physical connections.
+:class:`NetworkSimulator` runs a flow set to completion on the fluid
+engine of :mod:`repro.runtime.network` — max-min fair bandwidth sharing
+on contended connections, the model that reproduces the paper's Table 3
+(attainable QPI bandwidth drops roughly as 1/n with n concurrent users).
 
 Flows also pay a fixed startup latency ``alpha`` (kernel launch, flag
 check, NIC doorbell).  The planner's cost model ignores ``alpha``; the
@@ -21,7 +18,8 @@ barrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.topology.links import PhysicalConnection
@@ -33,6 +31,12 @@ __all__ = ["Flow", "FlowResult", "NetworkSimulator", "bottleneck_seconds"]
 #: the dataset twins so the latency:bandwidth ratio of the simulated
 #: machine matches the testbed at twin scale.
 DEFAULT_ALPHA = 5e-8
+
+
+def _check_amount(name: str, value: float) -> None:
+    """Require a finite, non-negative size, time or latency."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass
@@ -52,8 +56,8 @@ class Flow:
     def __post_init__(self) -> None:
         if not self.path:
             raise ValueError("a flow needs a non-empty path")
-        if self.size_bytes < 0:
-            raise ValueError("flow size must be non-negative")
+        _check_amount("flow size", self.size_bytes)
+        _check_amount("flow release time", self.release_time)
 
 
 @dataclass(frozen=True)
@@ -102,90 +106,14 @@ def bottleneck_seconds(
     return worst
 
 
-class _ActiveFlow:
-    __slots__ = ("flow", "remaining", "rate", "start_time")
-
-    def __init__(self, flow: Flow, start_time: float) -> None:
-        self.flow = flow
-        self.remaining = float(flow.size_bytes)
-        self.rate = 0.0
-        self.start_time = start_time
-
-
-def _max_min_rates(
-    active: List[_ActiveFlow],
-    capacity_of: Optional[Callable[[PhysicalConnection], float]] = None,
-) -> None:
-    """Assign max-min fair rates to ``active`` flows, in place.
-
-    ``capacity_of`` optionally overrides each connection's bandwidth —
-    the fault injector's hook for degraded (scaled) or dead (zero
-    capacity) wires.  Flows crossing a zero-capacity hop get rate 0.
-    """
-    if not active:
-        return
-    remaining_cap: Dict[str, float] = {}
-    conn_flows: Dict[str, List[_ActiveFlow]] = {}
-    stalled: List[_ActiveFlow] = []
-    for af in active:
-        caps = []
-        for conn in af.flow.path:
-            if conn.name not in remaining_cap:
-                remaining_cap[conn.name] = (
-                    capacity_of(conn) if capacity_of is not None else conn.bytes_per_second
-                )
-                conn_flows[conn.name] = []
-            caps.append(remaining_cap[conn.name])
-        if capacity_of is not None and any(c <= 0.0 for c in caps):
-            af.rate = 0.0
-            stalled.append(af)
-            continue
-        for conn in af.flow.path:
-            conn_flows[conn.name].append(af)
-    if stalled:
-        active = [af for af in active if af not in stalled]
-        if not active:
-            return
-
-    unfixed = set(range(len(active)))
-    index_of = {id(af): i for i, af in enumerate(active)}
-    unfixed_count: Dict[str, int] = {
-        name: len(flows) for name, flows in conn_flows.items()
-    }
-
-    while unfixed:
-        # The bottleneck connection is the one offering the lowest fair
-        # share to its not-yet-fixed flows.
-        best_name: Optional[str] = None
-        best_share = float("inf")
-        for name, count in unfixed_count.items():
-            if count <= 0:
-                continue
-            share = remaining_cap[name] / count
-            if share < best_share:
-                best_share = share
-                best_name = name
-        if best_name is None:
-            break
-        for af in conn_flows[best_name]:
-            i = index_of[id(af)]
-            if i not in unfixed:
-                continue
-            af.rate = best_share
-            unfixed.discard(i)
-            for conn in af.flow.path:
-                remaining_cap[conn.name] -= best_share
-                unfixed_count[conn.name] -= 1
-        unfixed_count[best_name] = 0
-
-
 class NetworkSimulator:
     """Runs a set of flows to completion; returns per-flow timings.
 
-    ``capacity_of`` optionally overrides connection bandwidths (the
-    fault injector's static hook, e.g. a degraded QPI hop).  A flow set
-    that can make no progress at all under the overrides raises
-    ``RuntimeError`` rather than spinning forever.
+    A driver over :class:`~repro.runtime.network.LiveNetwork`: each run
+    releases its flows into a fresh engine.  ``capacity_of`` optionally
+    overrides connection bandwidths (the fault injector's static hook,
+    e.g. a degraded QPI hop).  Flows left stalled on dead connections
+    when the clock stops raise ``RuntimeError``.
     """
 
     def __init__(
@@ -193,6 +121,7 @@ class NetworkSimulator:
         alpha: float = DEFAULT_ALPHA,
         capacity_of: Optional[Callable[[PhysicalConnection], float]] = None,
     ) -> None:
+        _check_amount("alpha", alpha)
         self.alpha = alpha
         self.capacity_of = capacity_of
 
@@ -207,69 +136,41 @@ class NetworkSimulator:
         (their ``release_time`` must be >= ``now``) — this is how the
         executor models dependency-triggered stage starts.
         """
-        pending: List[Flow] = sorted(flows, key=lambda f: f.release_time)
-        active: List[_ActiveFlow] = []
+        # Imported here: repro.runtime imports this module.
+        from repro.runtime.events import Simulator
+        from repro.runtime.network import LiveNetwork
+
+        sim = Simulator()
+        network = LiveNetwork(sim, self.alpha, self.capacity_of)
+        handles = []
         results: List[FlowResult] = []
-        now = 0.0
 
-        while pending or active:
-            # Release every pending flow whose start time has arrived.
-            next_release = pending[0].release_time + self.alpha if pending else float("inf")
-            while pending and pending[0].release_time + self.alpha <= now + 1e-18:
-                flow = pending.pop(0)
-                active.append(_ActiveFlow(flow, now))
-                next_release = pending[0].release_time + self.alpha if pending else float("inf")
+        def release(flow: Flow) -> None:
+            handle = network.transfer(flow.path, flow.size_bytes, flow)
+            handle.done.add_waiter(lambda: finished(handle))
+            handles.append(handle)
 
-            if not active:
-                now = next_release
-                continue
+        def post(flow: Flow) -> None:
+            if flow.release_time < sim.now - 1e-12:
+                raise ValueError("injected flow released in the past")
+            sim.schedule(max(0.0, flow.release_time - sim.now), lambda: release(flow))
 
-            _max_min_rates(active, capacity_of=self.capacity_of)
-            # Time until the first active flow drains.
-            time_to_finish = float("inf")
-            for af in active:
-                if af.rate > 0:
-                    time_to_finish = min(time_to_finish, af.remaining / af.rate)
-                elif af.remaining <= 0:
-                    time_to_finish = 0.0
-            if time_to_finish == float("inf") and not pending:
-                stuck = sorted({c.name for af in active for c in af.flow.path})
-                raise RuntimeError(
-                    "flows permanently stalled on dead connections: "
-                    + ", ".join(stuck)
-                )
-            next_event = min(now + time_to_finish, next_release)
-            dt = next_event - now
-            for af in active:
-                af.remaining -= af.rate * dt
-            now = next_event
+        def finished(handle) -> None:
+            result = FlowResult(handle.tag, handle.start_time, handle.finish_time)
+            results.append(result)
+            if on_complete is not None:
+                for flow in on_complete(result, sim.now):
+                    post(flow)
 
-            # Completion threshold: one micro-byte absolute, or the
-            # subtraction residue of a large transfer.  Without the
-            # relative term, a residue below the float resolution of
-            # `now` can make dt collapse to zero and freeze the loop.
-            def drained(af: _ActiveFlow) -> bool:
-                return af.remaining <= max(1e-6, 1e-12 * af.flow.size_bytes)
-
-            finished = [af for af in active if drained(af)]
-            if not finished and dt <= 0.0 and next_release > now:
-                # Numerical stall: sweep the closest-to-done flow.
-                smallest = min(active, key=lambda af: af.remaining)
-                smallest.remaining = 0.0
-                finished = [smallest]
-            if finished:
-                active = [af for af in active if not drained(af) and af.remaining > 0.0]
-                for af in finished:
-                    result = FlowResult(af.flow, af.start_time, now)
-                    results.append(result)
-                    if on_complete is not None:
-                        for new_flow in on_complete(result, now):
-                            if new_flow.release_time < now - 1e-12:
-                                raise ValueError(
-                                    "injected flow released in the past"
-                                )
-                            pending.append(new_flow)
-                pending.sort(key=lambda f: f.release_time)
+        for flow in flows:
+            post(flow)
+        sim.run()
+        if len(results) < len(handles):
+            stuck = {c.name for h in handles if not h.done.triggered for c in h.tag.path}
+            raise RuntimeError(
+                "flows permanently stalled on dead connections: "
+                + ", ".join(sorted(stuck))
+            )
         return results
 
     def makespan(self, flows: Sequence[Flow]) -> float:

@@ -1,9 +1,21 @@
 """Tests for the flow-level network simulator."""
 
+import hashlib
+import itertools
+import random
+
 import pytest
 
+from repro.runtime import LiveNetwork, Simulator, Timeout
 from repro.simulator.network import Flow, NetworkSimulator
+from repro.topology import dgx1
 from repro.topology.links import LinkKind, PhysicalConnection
+
+#: sha256 of the golden event times below.  They were recorded when
+#: NetworkSimulator still had its own event loop, so they also pin that
+#: driving LiveNetwork moved no time by one ulp.
+BATCH_DIGEST = "e1ed5be6d4040e596668b7ba579c26f80e9523af967ca80aa96658aeca631830"
+LIVE_DIGEST = "6207846bce5cafcea9eb3fa25298fa8228e3968bb6049dd3128ac1d9fb667db6"
 
 
 def conn(name="c", kind=LinkKind.NV1, bw=0.0):
@@ -30,9 +42,21 @@ class TestSingleFlow:
         t = sim.makespan([Flow((fast, slow), 5e9)])
         assert t == pytest.approx(1.0)
 
-    def test_negative_size_rejected(self):
+    @pytest.mark.parametrize(
+        "size, release",
+        [(-1.0, 0.0), (float("nan"), 0.0), (float("inf"), 0.0),
+         (1e9, -1.0), (1e9, float("nan")), (1e9, float("inf"))],
+        ids=["negative-size", "nan-size", "inf-size",
+             "negative-release", "nan-release", "inf-release"],
+    )
+    def test_negative_size_rejected(self, size, release):
         with pytest.raises(ValueError):
-            Flow((conn(),), -1.0)
+            Flow((conn(),), size, release_time=release)
+
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            NetworkSimulator(alpha=alpha)
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
@@ -118,6 +142,14 @@ class TestReleasesAndInjection:
     def test_no_flows(self):
         assert NetworkSimulator().run([]) == []
 
+    def test_flow_on_dead_connection_raises(self):
+        live, dead = conn("live", bw=10.0), conn("dead", bw=10.0)
+        sim = NetworkSimulator(
+            alpha=0.0, capacity_of=lambda c: 0.0 if c is dead else c.bytes_per_second
+        )
+        with pytest.raises(RuntimeError, match="stalled on dead connections: dead$"):
+            sim.run([Flow((live,), 1e9), Flow((dead,), 1e9)])
+
 
 class TestNumericalRobustness:
     def test_many_tiny_flows_terminate(self):
@@ -135,3 +167,73 @@ class TestNumericalRobustness:
         flows = [Flow((shared,), 2.6e6 + 0.2616 * i) for i in range(20)]
         results = sim.run(flows)
         assert len(results) == 20
+
+
+def _digest(records):
+    h = hashlib.sha256()
+    for record in records:
+        h.update(repr(record).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+class TestGoldenEventTimes:
+    """Event times pinned exactly, not to ``pytest.approx``.
+
+    Inputs come from ``random.Random(0)`` so they do not depend on the
+    numpy version.  A change to the fluid model that moves any start or
+    finish time by one ulp changes the digest.
+    """
+
+    def test_batch_flows_with_injection(self):
+        rng = random.Random(0)
+        paths = [link.connections for link in dgx1().links]
+        flows = []
+        for tag in range(200):
+            release = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 2e-4)
+            flows.append(Flow(rng.choice(paths), rng.uniform(1e3, 4e6), release, tag))
+        follow_ups = {}
+        for tag in rng.sample(range(200), 40):
+            delay = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 5e-5)
+            follow_ups[tag] = (rng.choice(paths), rng.uniform(1e3, 1e6), delay)
+        new_tags = itertools.count(200)
+
+        def chain(result, now):
+            spec = follow_ups.get(result.flow.tag)
+            if spec is None:
+                return []
+            path, size, delay = spec
+            return [Flow(path, size, now + delay, next(new_tags))]
+
+        results = NetworkSimulator().run(flows, on_complete=chain)
+        assert len(results) == 240
+        records = sorted((r.flow.tag, r.start_time, r.finish_time) for r in results)
+        assert _digest([(start, finish) for _, start, finish in records]) == BATCH_DIGEST
+
+    def test_live_posts_cancel_and_capacity_change(self):
+        rng = random.Random(0)
+        paths = [link.connections for link in dgx1().links]
+        scale = {}
+        sim = Simulator()
+        net = LiveNetwork(
+            sim, capacity_of=lambda c: c.bytes_per_second * scale.get(c.name, 1.0)
+        )
+        posted = []
+
+        def poster():
+            for i in range(60):
+                yield Timeout(0.0 if rng.random() < 0.3 else rng.uniform(0.0, 2e-5))
+                path = rng.choice(paths)
+                posted.append((path, net.transfer(path, rng.uniform(1e3, 2e6))))
+                if i == 20:
+                    net.cancel(posted[18][1])
+                if i == 40:
+                    scale[posted[36][0][0].name] = 0.25
+                    net.capacities_changed()
+
+        sim.spawn(poster(), "poster")
+        sim.run()
+        cancelled = posted[18][1]
+        assert cancelled.start_time is not None and cancelled.finish_time is None
+        records = [(h.start_time, h.finish_time) for _, h in posted]
+        assert _digest(records) == LIVE_DIGEST

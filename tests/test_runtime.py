@@ -156,6 +156,39 @@ class TestLiveNetwork:
         with pytest.raises(ValueError):
             net.transfer((), 10.0)
 
+    @pytest.mark.parametrize("size", [-5.0, float("nan"), float("inf")])
+    def test_bad_size_rejected(self, size):
+        net = LiveNetwork(Simulator())
+        with pytest.raises(ValueError):
+            net.transfer((self.conn(),), size)
+
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            LiveNetwork(Simulator(), alpha=alpha)
+
+    def test_one_solve_per_instant(self, monkeypatch):
+        """Transfers beginning together share one max-min solve."""
+        import repro.runtime.network as live
+
+        solved = []
+        real = live._max_min_rates
+
+        def counting(active, *args, **kwargs):
+            solved.append(len(active))
+            return real(active, *args, **kwargs)
+
+        monkeypatch.setattr(live, "_max_min_rates", counting)
+        sim = Simulator()
+        alpha, size, bw = 1e-6, 1e6, 10.0
+        net = LiveNetwork(sim, alpha=alpha)
+        wire = self.conn(bw=bw)
+        handles = [net.transfer((wire,), size) for _ in range(64)]
+        sim.run()
+        assert solved == [64]
+        for h in handles:
+            assert h.finish_time == pytest.approx(alpha + 64 * size / (bw * 1e9), rel=1e-12)
+
 
 @pytest.fixture(scope="module")
 def workload():
