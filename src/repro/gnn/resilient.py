@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.relation import CommRelation
 from repro.core.spst import SPSTPlanner
+from repro.errors import ElasticSpecError, UnrecoverableFaultError
 from repro.faults.injector import FaultInjector
 from repro.faults.log import FaultLog
 from repro.faults.policy import DefaultPolicy, DeviceLostError, RecoveryPolicy
@@ -324,7 +325,7 @@ class ResilientTrainer:
                 result = repair_plan(
                     self.plan, dead_connections=dead_now, seed=self.seed
                 )
-            except Exception:
+            except (UnrecoverableFaultError, ElasticSpecError):
                 result = None  # fall through to the degraded path
         if result is not None:
             self.plan = result.plan

@@ -8,15 +8,16 @@ Processes are Python generators that ``yield`` wait conditions:
 * ``AllOf([...])`` — resume when every sub-condition has resolved;
 * ``AnyOf([...])`` — resume when the *first* sub-condition resolves;
   the ``yield`` expression evaluates to the index of the winner, which
-  is how the hardened protocol tells "flag arrived" from "timed out".
+  is how the protocol's armed fault hooks tell "flag arrived" from
+  "timed out".
 
 The engine is deliberately minimal — the runtime package needs exactly
 these five primitives — but fully deterministic: simultaneous events
 fire in scheduling order.  Timeouts racing inside an ``AnyOf`` are
 cancelled when they lose; a cancelled timer is skipped by the event
 loop *without advancing the clock*, so arming a timeout that never
-fires costs zero simulated time — the property that lets chaos-mode
-instrumentation leave fault-free timings bit-identical.
+fires costs zero simulated time — the property that lets an armed
+protocol run whose faults never fire keep the unarmed timings.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"delay must be non-negative, got {delay!r}")
         self.delay = delay
 
 
@@ -265,8 +266,8 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"cannot schedule into the past, got {delay!r}")
         heapq.heappush(self._queue, (self.now + delay, next(self._seq), callback))
 
     def spawn(self, generator: Generator, name: str = "proc") -> Process:
@@ -306,7 +307,7 @@ class Simulator:
     def shutdown(self) -> List[str]:
         """Tear down an aborted run: close every unfinished coroutine.
 
-        When a hardened run raises (``UnrecoverableFaultError``,
+        When an armed protocol run raises (``UnrecoverableFaultError``,
         ``DeviceLostError``), sender/receiver/heartbeat/monitor
         coroutines may still be suspended mid-``yield``.  Closing their
         generators releases everything their frames pin (buffers, the

@@ -20,15 +20,15 @@ copies arrive late; the board suppresses them by sequence number unless
 the test-only :attr:`FlagBoard.dedupe` hook is off).  A timed-out
 waiter calls
 ``refetch_ready``/``refetch_done`` to re-read the setter's state at the
-cost of an extra control round-trip.  With no injector attached, the
-board behaves exactly as before.
+cost of an extra control round-trip.  With no injector attached (an
+unarmed protocol run), every set is delivered at once.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.runtime.events import Flag, Simulator, Timeout, WaitFlag
+from repro.runtime.events import Flag, Simulator
 
 __all__ = ["FlagBoard"]
 
@@ -145,13 +145,3 @@ class FlagBoard:
         if verdict == "recovered":
             self.done_flag(src, dst, stage).increment()
         return verdict
-
-    def wait_ready(self, device: int, stage: int):
-        """Condition + latency for polling a peer's ready flag."""
-        yield Timeout(self.flag_latency)
-        yield WaitFlag(self.ready_flag(device, stage), 1)
-
-    def wait_done(self, src: int, dst: int, stage: int):
-        """Condition generator: poll latency, then the done flag."""
-        yield Timeout(self.flag_latency)
-        yield WaitFlag(self.done_flag(src, dst, stage), 1)

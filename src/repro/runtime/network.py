@@ -263,7 +263,3 @@ class LiveNetwork:
             self._changed()
 
         self.sim.schedule(soonest_dt, complete)
-
-    @property
-    def active_transfers(self) -> int:
-        return len(self._active)

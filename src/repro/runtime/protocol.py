@@ -22,20 +22,26 @@ The ``centralized`` mode replaces (3) with a master-driven stage
 barrier, paying a control round-trip per stage — the design §6.1
 rejects; keeping both makes the trade-off measurable.
 
-With a :class:`~repro.faults.injector.FaultInjector` attached (and at
-least one scheduled fault), the runner switches to a *hardened* path:
-flag waits carry per-stage timeouts with exponential backoff and
-bounded retries (a timed-out waiter re-fetches the peer's state, one
-control round-trip each); transfers are stall-checked against actual
-byte progress and, on a confirmed stall, retried, re-routed around the
-dead wire (:func:`repro.faults.repair.alternate_path`) or degraded to
-host-memory staging, as chosen by the
-:class:`~repro.faults.policy.RecoveryPolicy`; clients emit heartbeats
-and a master-side failure detector declares a device dead after
+A receiver's done flag counts transfers: when several vertex classes
+share one (sender, receiver, stage) — on dgx1, SPST may send them over
+both links of a pair — the receiver waits for all of them.
+
+There is one protocol body.  Its fault hooks act only when a
+:class:`~repro.faults.injector.FaultInjector` with at least one
+scheduled fault is attached (*armed*): flag waits then carry per-stage
+timeouts with exponential backoff and bounded retries (a timed-out
+waiter re-fetches the peer's state, one control round-trip each);
+transfers are stall-checked against actual byte progress and, on a
+confirmed stall, retried, re-routed around the dead wire
+(:func:`repro.faults.repair.alternate_path`) or degraded to host-memory
+staging, as chosen by the :class:`~repro.faults.policy.RecoveryPolicy`;
+every wait races the device's crash event; clients emit heartbeats and
+a master-side failure detector declares a device dead after
 ``miss_limit`` silent windows, aborting the run with a typed
 :class:`~repro.faults.policy.DeviceLostError` for the trainer to catch.
-Without an armed injector the legacy fault-free path runs unchanged —
-same events, same clock, bit-identical timings.
+Unarmed, every hook is a no-op: waits are yielded bare, with no timer,
+crash race, heartbeat or monitor, and an armed run whose faults all
+fire after it ends has exactly the unarmed timings.
 
 Embeddings really move: the runner returns the gathered per-device
 blocks, which the tests compare against
@@ -44,6 +50,7 @@ blocks, which the tests compare against
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,7 +80,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.flags import DEFAULT_FLAG_LATENCY, FlagBoard
 from repro.runtime.network import LiveNetwork
-from repro.simulator.network import DEFAULT_ALPHA
+from repro.simulator.network import DEFAULT_ALPHA, _check_amount
 
 __all__ = ["ProtocolRunner", "ProtocolReport"]
 
@@ -111,6 +118,16 @@ class ProtocolRunner:
     ) -> None:
         if coordination not in ("decentralized", "centralized"):
             raise ValueError("coordination must be decentralized or centralized")
+        _check_amount("alpha", alpha)
+        _check_amount("flag_latency", flag_latency)
+        _check_amount("control_latency", control_latency)
+        for device, delay in (device_delays or {}).items():
+            if device not in range(relation.num_devices):
+                raise ValueError(
+                    f"device_delays names device {device!r}; the relation "
+                    f"has devices 0..{relation.num_devices - 1}"
+                )
+            _check_amount(f"device_delays[{device}]", delay)
         plan.validate(relation)
         self.relation = relation
         self.plan = plan
@@ -119,9 +136,8 @@ class ProtocolRunner:
         self.flag_latency = flag_latency
         self.control_latency = control_latency
         self.device_delays = dict(device_delays or {})
-        #: Fault machinery; the hardened path runs only when the
-        #: injector actually schedules faults — otherwise the legacy
-        #: code path executes, event for event.
+        #: Fault machinery; its hooks act only when the injector
+        #: actually schedules faults — otherwise they are no-ops.
         self.injector = injector
         self.policy = policy if policy is not None else DefaultPolicy()
         #: Telemetry sinks.  Recording is purely observational — spans
@@ -129,7 +145,7 @@ class ProtocolRunner:
         #: event schedule (and therefore all timings) untouched.
         self.tracer = tracer
         self.metrics = metrics
-        # Hardened-path tunables (simulated seconds).
+        # Fault-hook tunables (simulated seconds).
         self.flag_timeout = control_latency * 20
         self.flag_timeout_cap = self.flag_timeout * 64
         self.stall_check = max(alpha * 4, control_latency * 4)
@@ -140,7 +156,7 @@ class ProtocolRunner:
 
         #: The simulator of the most recent run — inspected by the
         #: cleanup regression tests (all processes must be finished or
-        #: closed after an aborted hardened run).
+        #: closed after an aborted run).
         self._last_sim: Optional[Simulator] = None
 
         self._tuples = sorted(plan.tuples(), key=lambda t: t.stage)
@@ -164,158 +180,6 @@ class ProtocolRunner:
     def _armed(self) -> bool:
         return self.injector is not None and self.injector.is_armed
 
-    def run(
-        self, local_embeddings: Sequence[np.ndarray]
-    ) -> Tuple[List[np.ndarray], ProtocolReport]:
-        """Execute the allgather; returns (gathered blocks, report).
-
-        With an armed fault injector this dispatches to the hardened
-        protocol, which may raise
-        :class:`~repro.faults.policy.DeviceLostError` (confirmed device
-        death — roll back and repartition) or
-        :class:`~repro.faults.policy.UnrecoverableFaultError` (retry
-        budget exhausted with no surviving route).
-        """
-        if self._armed:
-            return self._run_hardened(local_embeddings)
-        sim = Simulator()
-        network = LiveNetwork(sim, alpha=self.alpha)
-        flags = FlagBoard(sim, flag_latency=self.flag_latency)
-        buffers = self._maps.make_buffers(list(local_embeddings))
-        report = ProtocolReport(total_time=0.0)
-        tracer, metrics = self.tracer, self.metrics
-        base = tracer.now if tracer is not None else 0.0
-
-        registered = [Event() for _ in range(self.num_devices)]
-        start_signal = Event()
-        finished = [Event() for _ in range(self.num_devices)]
-        # Centralized mode: per-stage go signals from the master.
-        stage_go = [Event() for _ in range(self.num_stages)]
-        stage_done_count = [
-            {"left": self.num_devices} for _ in range(self.num_stages)
-        ]
-
-        def master():
-            yield AllOf([WaitEvent(e) for e in registered])
-            yield Timeout(self.control_latency)  # scatter "start"
-            start_signal.trigger()
-            if self.coordination == "centralized":
-                for k in range(self.num_stages):
-                    yield Timeout(self.control_latency)
-                    stage_go[k].trigger()
-                    yield WaitEvent(stage_go_done[k])
-            yield AllOf([WaitEvent(e) for e in finished])
-
-        stage_go_done = [Event() for _ in range(self.num_stages)]
-
-        def sender(device: int, idx: int, done_event: Event):
-            t = self._tuples[idx]
-            wait_start = sim.now
-            # Spin on the peer's ready flag (remote poll latency).
-            yield Timeout(self.flag_latency)
-            yield WaitFlag(flags.ready_flag(t.dst, t.stage), 1)
-            size = t.units * self._bytes_per_unit
-            if tracer is not None:
-                tracer.add_span(
-                    f"wait ready[{t.dst},s{t.stage}]", "flag",
-                    device_track(device), base + wait_start, base + sim.now,
-                    peer=t.dst,
-                )
-            if metrics is not None:
-                metrics.histogram("flag.wait_seconds").observe(
-                    sim.now - wait_start
-                )
-            xfer_start = sim.now
-            handle = network.transfer(t.link.connections, size, tag=idx)
-            yield WaitEvent(handle.done)
-            if tracer is not None:
-                for conn in t.link.connections:
-                    tracer.add_span(
-                        f"{t.src}->{t.dst} s{t.stage}", "comm",
-                        connection_track(conn.name),
-                        base + xfer_start, base + sim.now,
-                        bytes=size, src=t.src, dst=t.dst, stage=t.stage,
-                    )
-            if metrics is not None:
-                for conn in t.link.connections:
-                    metrics.counter("comm.bytes", conn=conn.name).inc(size)
-                metrics.counter("comm.flows").inc()
-            # Payload now sits in the peer's buffer.
-            _, _, src_rows, dst_rows = self._maps.ops[idx]
-            buffers[t.dst][dst_rows] = buffers[device][src_rows]
-            flags.set_done(t.src, t.dst, t.stage)
-            report.transfers += 1
-            done_event.trigger()
-
-        def receiver(device: int, idx: int, done_event: Event):
-            t = self._tuples[idx]
-            wait_start = sim.now
-            yield Timeout(self.flag_latency)
-            yield WaitFlag(flags.done_flag(t.src, t.dst, t.stage), 1)
-            if tracer is not None:
-                tracer.add_span(
-                    f"wait done[{t.src}->{t.dst},s{t.stage}]", "flag",
-                    device_track(device), base + wait_start, base + sim.now,
-                    peer=t.src,
-                )
-            if metrics is not None:
-                metrics.histogram("flag.wait_seconds").observe(
-                    sim.now - wait_start
-                )
-            # Retrieval from the staging buffer is a local copy.
-            done_event.trigger()
-
-        def client(device: int):
-            yield Timeout(self.control_latency)  # connect to the master
-            registered[device].trigger()
-            yield WaitEvent(start_signal)
-            extra = self.device_delays.get(device, 0.0)
-            if extra:
-                yield Timeout(extra)
-            for k in range(self.num_stages):
-                if self.coordination == "centralized":
-                    yield WaitEvent(stage_go[k])
-                stage_start = sim.now
-                flags.set_ready(device, k)
-                waits = []
-                for idx in self._sends[device].get(k, []):
-                    ev = Event()
-                    sim.spawn(sender(device, idx, ev), f"send{idx}")
-                    waits.append(WaitEvent(ev))
-                for idx in self._recvs[device].get(k, []):
-                    ev = Event()
-                    sim.spawn(receiver(device, idx, ev), f"recv{idx}")
-                    waits.append(WaitEvent(ev))
-                if waits:
-                    yield AllOf(waits)
-                report.stage_finish[(device, k)] = sim.now
-                if tracer is not None:
-                    tracer.add_span(
-                        f"stage {k}", "stage", device_track(device),
-                        base + stage_start, base + sim.now,
-                    )
-                if self.coordination == "centralized":
-                    counter = stage_done_count[k]
-                    counter["left"] -= 1
-                    if counter["left"] == 0:
-                        stage_go_done[k].trigger()
-            yield Timeout(self.control_latency)  # notify the master
-            report.device_finish[device] = sim.now
-            finished[device].trigger()
-
-        sim.spawn(master(), "master")
-        for d in range(self.num_devices):
-            sim.spawn(client(d), f"client{d}")
-        self._last_sim = sim
-        total = sim.run()
-        report.total_time = total
-        gathered = [
-            buffers[d][self._maps.out_rows[d]] for d in range(self.num_devices)
-        ]
-        return gathered, report
-
-    # ------------------------------------------------------------------
-    # Hardened protocol (armed fault injector)
     def _staging_path(self, src: int, dst: int):
         """Host-memory staging route (degrade fallback), if still alive."""
         topo = self.plan.topology
@@ -326,21 +190,34 @@ class ProtocolRunner:
             return path
         return None
 
-    def _run_hardened(
+    def run(
         self, local_embeddings: Sequence[np.ndarray]
     ) -> Tuple[List[np.ndarray], ProtocolReport]:
-        injector = self.injector
+        """Execute the allgather; returns (gathered blocks, report).
+
+        With an armed fault injector this may raise
+        :class:`~repro.faults.policy.DeviceLostError` (confirmed device
+        death — roll back and repartition) or
+        :class:`~repro.faults.policy.UnrecoverableFaultError` (retry
+        budget exhausted with no surviving route).
+        """
+        armed = self._armed
+        injector = self.injector if armed else None
         policy = self.policy
-        log = injector.log
+        log = injector.log if armed else None
         topo = self.plan.topology
         sim = Simulator()
-        network = LiveNetwork(sim, alpha=self.alpha, capacity_of=injector.capacity_of)
+        network = LiveNetwork(
+            sim, alpha=self.alpha,
+            capacity_of=injector.capacity_of if armed else None,
+        )
         flags = FlagBoard(sim, flag_latency=self.flag_latency, injector=injector)
         buffers = self._maps.make_buffers(list(local_embeddings))
         report = ProtocolReport(total_time=0.0)
         tracer, metrics = self.tracer, self.metrics
         base = tracer.now if tracer is not None else 0.0
-        injector.arm(sim, network=network)
+        if armed:
+            injector.arm(sim, network=network)
 
         registered = [Event() for _ in range(self.num_devices)]
         start_signal = Event()
@@ -352,11 +229,17 @@ class ProtocolRunner:
             {"left": self.num_devices} for _ in range(self.num_stages)
         ]
         heartbeats = [Flag(f"hb[d{d}]") for d in range(self.num_devices)]
-        end_state = {"time": 0.0}
-        done_total: Dict[Tuple[int, int, int], int] = {}
-        for t in self._tuples:
-            key = (t.src, t.dst, t.stage)
-            done_total[key] = done_total.get(key, 0) + 1
+        done_total = Counter((t.src, t.dst, t.stage) for t in self._tuples)
+
+        def race(*conditions):
+            """Wait for the first of ``conditions``; the yield evaluates
+            to the winner's index.  Unarmed, no timeout or crash can win,
+            so the first condition is waited on bare (the yield evaluates
+            to None, which reads as "the first one won")."""
+            return AnyOf(conditions) if armed else conditions[0]
+
+        def crash_of(device: int) -> Optional[WaitEvent]:
+            return WaitEvent(injector.crash_event(device)) if armed else None
 
         def master():
             yield AllOf([WaitEvent(e) for e in registered])
@@ -368,18 +251,14 @@ class ProtocolRunner:
                     stage_go[k].trigger()
                     yield WaitEvent(stage_go_done[k])
             yield AllOf([WaitEvent(e) for e in finished])
-            end_state["time"] = sim.now
+            report.total_time = sim.now
             all_done.trigger()
 
         def heartbeat(device: int):
-            crash_ev = injector.crash_event(device)
+            crash = crash_of(device)
             while True:
                 winner = yield AnyOf(
-                    [
-                        Timeout(self.heartbeat_interval),
-                        WaitEvent(crash_ev),
-                        WaitEvent(all_done),
-                    ]
+                    [Timeout(self.heartbeat_interval), crash, WaitEvent(all_done)]
                 )
                 if winner != 0:
                     return  # crashed (silence) or protocol over
@@ -435,7 +314,7 @@ class ProtocolRunner:
                         dead, sim.now, fault_log=log, report=report
                     )
 
-        def await_flag(flag, target, kind, fdev, peer, stage, crash_ev, subject):
+        def await_flag(flag, target, kind, fdev, peer, stage, crash, subject):
             """Flag wait with timeout, re-fetch and exponential backoff.
 
             Returns True when the flag reached ``target``, False when
@@ -447,10 +326,8 @@ class ProtocolRunner:
             timeout = self.flag_timeout
             attempt = 0
             while True:
-                winner = yield AnyOf(
-                    [WaitFlag(flag, target), Timeout(timeout), WaitEvent(crash_ev)]
-                )
-                if winner == 0:
+                winner = yield race(WaitFlag(flag, target), Timeout(timeout), crash)
+                if not winner:
                     return True
                 if winner == 2:
                     return False
@@ -502,7 +379,7 @@ class ProtocolRunner:
                 # "absent": the peer is just slow — back off and re-wait.
                 timeout = min(timeout * 2, self.flag_timeout_cap)
 
-        def run_transfer(t, size, idx, crash_ev, subject):
+        def run_transfer(t, size, idx, crash, subject):
             """One payload with stall detection and the recovery ladder.
 
             Returns True on delivery, False if our device crashed.
@@ -517,14 +394,10 @@ class ProtocolRunner:
                 stalled = False
                 rem = size
                 while not stalled:
-                    winner = yield AnyOf(
-                        [
-                            WaitEvent(handle.done),
-                            Timeout(self.stall_check),
-                            WaitEvent(crash_ev),
-                        ]
+                    winner = yield race(
+                        WaitEvent(handle.done), Timeout(self.stall_check), crash
                     )
-                    if winner == 0:
+                    if not winner:
                         if tracer is not None:
                             for conn in path:
                                 tracer.add_span(
@@ -603,10 +476,7 @@ class ProtocolRunner:
                             f"{heal_at * 1e6:.1f} us",
                         )
                         winner = yield AnyOf(
-                            [
-                                Timeout(heal_at - sim.now + self.flag_latency),
-                                WaitEvent(crash_ev),
-                            ]
+                            [Timeout(heal_at - sim.now + self.flag_latency), crash]
                         )
                         if winner == 1:
                             return False
@@ -628,12 +498,12 @@ class ProtocolRunner:
 
         def sender(device: int, idx: int, done_event: Event):
             t = self._tuples[idx]
-            crash_ev = injector.crash_event(device)
+            crash = crash_of(device)
             subject = f"send[{t.src}->{t.dst},s{t.stage}]"
             wait_start = sim.now
             ok = yield from await_flag(
                 flags.ready_flag(t.dst, t.stage), 1,
-                "ready", t.dst, None, t.stage, crash_ev, subject,
+                "ready", t.dst, None, t.stage, crash, subject,
             )
             if not ok:
                 return
@@ -648,7 +518,7 @@ class ProtocolRunner:
                     sim.now - wait_start
                 )
             size = t.units * self._bytes_per_unit
-            ok = yield from run_transfer(t, size, idx, crash_ev, subject)
+            ok = yield from run_transfer(t, size, idx, crash, subject)
             if not ok:
                 return
             _, _, src_rows, dst_rows = self._maps.ops[idx]
@@ -659,16 +529,16 @@ class ProtocolRunner:
 
         def receiver(device: int, idx: int, done_event: Event):
             t = self._tuples[idx]
-            crash_ev = injector.crash_event(device)
+            crash = crash_of(device)
             subject = f"recv[{t.src}->{t.dst},s{t.stage}]"
-            # Several vertex classes can share this (src, dst, stage):
-            # gate on ALL of their transfers, or a late repaired payload
-            # could be forwarded stale in the next stage.
+            # Several vertex classes can share this (src, dst, stage),
+            # each on its own link: gate on ALL of their transfers, or
+            # rows still in flight could be forwarded in the next stage.
             target = done_total[(t.src, t.dst, t.stage)]
             wait_start = sim.now
             ok = yield from await_flag(
                 flags.done_flag(t.src, t.dst, t.stage), target,
-                "done", t.src, t.dst, t.stage, crash_ev, subject,
+                "done", t.src, t.dst, t.stage, crash, subject,
             )
             if not ok:
                 return
@@ -685,32 +555,28 @@ class ProtocolRunner:
             done_event.trigger()
 
         def client(device: int):
-            crash_ev = injector.crash_event(device)
-            winner = yield AnyOf(
-                [Timeout(self.control_latency), WaitEvent(crash_ev)]
-            )
-            if winner == 1:
+            crash = crash_of(device)
+            winner = yield race(Timeout(self.control_latency), crash)
+            if winner:
                 return
             registered[device].trigger()
-            winner = yield AnyOf([WaitEvent(start_signal), WaitEvent(crash_ev)])
-            if winner == 1:
+            winner = yield race(WaitEvent(start_signal), crash)
+            if winner:
                 return
             extra = self.device_delays.get(device, 0.0)
             if extra:
-                winner = yield AnyOf([Timeout(extra), WaitEvent(crash_ev)])
-                if winner == 1:
+                winner = yield race(Timeout(extra), crash)
+                if winner:
                     return
             for k in range(self.num_stages):
-                stall = injector.stall_remaining(device, sim.now)
+                stall = injector.stall_remaining(device, sim.now) if armed else 0.0
                 if stall > 0:
-                    winner = yield AnyOf([Timeout(stall), WaitEvent(crash_ev)])
-                    if winner == 1:
+                    winner = yield AnyOf([Timeout(stall), crash])
+                    if winner:
                         return
                 if self.coordination == "centralized":
-                    winner = yield AnyOf(
-                        [WaitEvent(stage_go[k]), WaitEvent(crash_ev)]
-                    )
-                    if winner == 1:
+                    winner = yield race(WaitEvent(stage_go[k]), crash)
+                    if winner:
                         return
                 stage_start = sim.now
                 flags.set_ready(device, k)
@@ -724,8 +590,8 @@ class ProtocolRunner:
                     sim.spawn(receiver(device, idx, ev), f"recv{idx}")
                     waits.append(ev)
                 for ev in waits:
-                    winner = yield AnyOf([WaitEvent(ev), WaitEvent(crash_ev)])
-                    if winner == 1:
+                    winner = yield race(WaitEvent(ev), crash)
+                    if winner:
                         return
                 report.stage_finish[(device, k)] = sim.now
                 if tracer is not None:
@@ -745,9 +611,10 @@ class ProtocolRunner:
         sim.spawn(master(), "master")
         for d in range(self.num_devices):
             sim.spawn(client(d), f"client{d}")
-        for d in range(self.num_devices):
-            sim.spawn(heartbeat(d), f"hb{d}")
-            sim.spawn(monitor(d), f"mon{d}")
+        if armed:
+            for d in range(self.num_devices):
+                sim.spawn(heartbeat(d), f"hb{d}")
+                sim.spawn(monitor(d), f"mon{d}")
         self._last_sim = sim
         try:
             sim.run()
@@ -760,7 +627,6 @@ class ProtocolRunner:
             # the buffers/network they pin) never leak across the many
             # runs of a chaos soak.  A clean finish makes this a no-op.
             sim.shutdown()
-        report.total_time = end_state["time"]
         gathered = [
             buffers[d][self._maps.out_rows[d]] for d in range(self.num_devices)
         ]

@@ -47,7 +47,13 @@ from repro.autotune.resolver import PlanResolver
 from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation
 from repro.core.spst import SPSTPlanner
-from repro.errors import AdmissionRejected, DeadlineExpired, ServeSpecError
+from repro.errors import (
+    AdmissionRejected,
+    DeadlineExpired,
+    ElasticSpecError,
+    ServeSpecError,
+    UnrecoverableFaultError,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.log import FaultLog
 from repro.faults.policy import DefaultPolicy
@@ -825,7 +831,7 @@ class _RunState:
                         result = repair_plan(
                             plan, dead_connections=sorted(dead), seed=0
                         )
-                    except Exception as exc:
+                    except (UnrecoverableFaultError, ElasticSpecError) as exc:
                         self.log.append(
                             self.now, "serve", "detect",
                             f"batch:{batch.tenant}",

@@ -8,6 +8,7 @@ faults, typed errors on confirmed device loss and exhausted retry
 budgets, and reproducible fault logs.
 """
 
+import hashlib
 import threading
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from repro.comm.allgather import CompiledAllgather
 from repro.core import CommRelation, SPSTPlanner
+from repro.chaos import SoakConfig, SoakRunner
 from repro.faults import (
     DeviceCrash,
     DeviceLostError,
@@ -34,7 +36,9 @@ from repro.partition import partition
 from repro.runtime import ProtocolRunner
 from repro.runtime.events import Simulator, Timeout
 from repro.runtime.flags import FlagBoard
-from repro.topology import dgx1
+from repro.obs.tracer import Tracer
+from repro.topology import dgx1, pcie_only, ring
+from repro.topology.presets import torus
 
 
 @pytest.fixture(scope="module")
@@ -355,3 +359,136 @@ class TestReproducibility:
             )
             runs.append((report.total_time, runner.injector.log.signature()))
         assert runs[0] == runs[1]
+
+
+def _report_digest(report, log_signature=()):
+    """sha256 over every timing a report carries, exact to the ulp."""
+    record = (
+        report.total_time,
+        sorted(report.stage_finish.items()),
+        sorted(report.device_finish.items()),
+        log_signature,
+        report.transfers,
+    )
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+def _rmat_cells(topology):
+    """rmat(400, 3000) seeds 0-5 on ``topology``, SPST-planned."""
+    for seed in range(6):
+        g = rmat(400, 3000, seed=seed)
+        rel = CommRelation(g, partition(g, 8, seed=0).assignment, 8)
+        yield seed, rel, SPSTPlanner(topology, seed=0).plan(rel)
+
+
+#: Recorded before the legacy and hardened protocol bodies were merged.
+#: Armed: one digest per soak config over seeds 0-23.
+ARMED_DIGESTS = {
+    "default": "f3b945fbb399f51c946655d9a6309df02be75716ced4bb258f9a5d8d4737fe88",
+    "centralized": "9f29c9ad88c03c498d81bcfc077bb33c770028d8188624f98de8e47c643459ae",
+    "gpus=16": "b3041a3f7560edc97751a840eeeab5a291831b7435918c942adb2869129815fb",
+    "pcie": "87858897eec6ca5d27ae59c0940007518b6062c0a26c53513709f054c795fb0f",
+}
+ARMED_CONFIGS = {
+    "default": {},
+    "centralized": {"coordination": "centralized"},
+    "gpus=16": {"gpus": 16},
+    "pcie": {"topology": "pcie"},
+}
+#: Unarmed: one digest per topology over rmat seeds 0-5, both
+#: coordinations, with and without a straggler.  These topologies have
+#: one link per device pair, so every receiver waits for one transfer.
+UNARMED_DIGESTS = {
+    "ring": "993f658aea660c3aff395019ebe7a38bef731eacbec7bd841031054695e91bf6",
+    "torus": "bb8e56408ec2da97bf013ccd8a5cf6c650123b581cc942e7d0fa1a05d77d04bc",
+    "pcie_only": "2a08d3310f355af9b06336c3b0b117e21819bb0e350f2191d944771a9a40a5a8",
+}
+UNARMED_TOPOLOGIES = {
+    "ring": lambda: ring(8),
+    "torus": lambda: torus(2, 4),
+    "pcie_only": lambda: pcie_only(8),
+}
+
+
+class TestGoldenProtocolTimes:
+    """Protocol timings pinned exactly: any change to the event order of
+    either the armed or the unarmed protocol moves a digest."""
+
+    @pytest.mark.parametrize("name", sorted(ARMED_CONFIGS))
+    def test_armed_soak_runs(self, name):
+        runner = SoakRunner(SoakConfig(**ARMED_CONFIGS[name]))
+        h = hashlib.sha256()
+        for seed in range(24):
+            obs = runner._execute(runner.generator.sample(seed))
+            record = (
+                obs.total_time,
+                sorted(obs.stage_finish.items()),
+                sorted(obs.device_finish.items()),
+                obs.log_signature,
+                obs.transfers,
+            )
+            h.update(hashlib.sha256(repr(record).encode()).digest())
+        assert h.hexdigest() == ARMED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(UNARMED_TOPOLOGIES))
+    def test_unarmed_runs(self, name):
+        h = hashlib.sha256()
+        for _, rel, plan in _rmat_cells(UNARMED_TOPOLOGIES[name]()):
+            for coordination in ("decentralized", "centralized"):
+                for delays in (None, {3: 2e-7}):
+                    report = ProtocolRunner(
+                        rel, plan, coordination=coordination,
+                        device_delays=delays,
+                    ).run_timed(256)
+                    h.update(_report_digest(report).encode())
+        assert h.hexdigest() == UNARMED_DIGESTS[name]
+
+
+@pytest.fixture(scope="module")
+def dgx1_cells():
+    return list(_rmat_cells(dgx1()))
+
+
+class TestReceiverWaitsForAllTransfers:
+    """On dgx1, SPST can send several vertex classes between one device
+    pair in one stage over both links; the receiver's done flag counts
+    them all."""
+
+    @pytest.mark.parametrize("coordination", ["decentralized", "centralized"])
+    def test_no_transfer_lands_after_its_receivers_stage(
+        self, dgx1_cells, coordination
+    ):
+        for seed, rel, plan in dgx1_cells:
+            tracer = Tracer()
+            report = ProtocolRunner(
+                rel, plan, coordination=coordination, tracer=tracer
+            ).run_timed(256)
+            late = [
+                span for span in tracer.spans
+                if span.cat == "comm" and span.finish > report.stage_finish[
+                    (span.args_dict()["dst"], span.args_dict()["stage"])
+                ]
+            ]
+            assert late == [], f"seed {seed}: {len(late)} late landings"
+
+    @pytest.mark.parametrize("coordination", ["decentralized", "centralized"])
+    def test_far_future_fault_changes_nothing(self, dgx1_cells, coordination):
+        """Arming the fault hooks with a fault that fires long after the
+        run ends leaves every timing exactly as unarmed."""
+        for seed, rel, plan in dgx1_cells:
+            unarmed = ProtocolRunner(
+                rel, plan, coordination=coordination
+            ).run_timed(256)
+            injector = FaultInjector(FaultPlan([
+                LinkFlap(
+                    connection=used_connection(plan), time=1e6, period=1e-3
+                )
+            ]))
+            armed = ProtocolRunner(
+                rel, plan, coordination=coordination, injector=injector
+            ).run_timed(256)
+            assert armed == unarmed, f"seed {seed}"
+            during_run = [
+                r for r in injector.log.records if r.time <= armed.total_time
+            ]
+            assert during_run == [], f"seed {seed}"

@@ -171,6 +171,24 @@ class TestChaosWithoutTopologyChange:
         )
         assert report.lost_devices == []
 
+    def test_bug_in_plan_repair_propagates(self, task, monkeypatch):
+        """Only repair_plan's typed errors fall through to the degraded
+        path; any other error is a bug and must surface."""
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside repair_plan")
+
+        monkeypatch.setattr("repro.gnn.resilient.repair_plan", broken)
+        g, features, labels = task
+        plan = FaultPlan(
+            [LinkLoss(connection="nv:m0:0-1:0->1", time=1e-7)], seed=5
+        )
+        trainer = ResilientTrainer(
+            g, dgx1(), fresh_model(), features, labels,
+            fault_plan=plan, checkpoint_every=2,
+        )
+        with pytest.raises(TypeError, match="bug inside repair_plan"):
+            trainer.train(4)
+
 
 class TestCrashRecovery:
     def test_rollback_and_repartition(self, task, fault_free, reference):

@@ -280,6 +280,34 @@ class TestProtocolRunner:
         with pytest.raises(ValueError):
             ProtocolRunner(rel, plan, coordination="voodoo")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"device_delays": {0: float("nan")}},
+            {"device_delays": {0: float("inf")}},
+            {"device_delays": {0: -1e-6}},
+            {"device_delays": {99: 1e-6}},
+            {"device_delays": {-1: 1e-6}},
+            {"flag_latency": float("nan")},
+            {"control_latency": float("inf")},
+            {"alpha": -1e-6},
+        ],
+        ids=["delay-nan", "delay-inf", "delay-negative", "delay-device-99",
+             "delay-device-minus-1", "flag-latency-nan",
+             "control-latency-inf", "alpha-negative"],
+    )
+    def test_invalid_clock_inputs(self, workload, kwargs):
+        """Rejected up front, not mid-run or as an infinite total."""
+        _, rel, plan = workload
+        with pytest.raises(ValueError):
+            ProtocolRunner(rel, plan, **kwargs)
+
+    def test_nan_delays_rejected_by_the_event_loop(self):
+        with pytest.raises(ValueError):
+            Timeout(float("nan"))
+        with pytest.raises(ValueError):
+            Simulator().schedule(float("nan"), lambda: None)
+
     def test_matches_transfer_level_executor_roughly(self, workload):
         """The protocol clock should land near the transfer-level
         simulator's (same network model + protocol overheads)."""

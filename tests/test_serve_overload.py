@@ -88,3 +88,15 @@ class TestOverloadWithFaults:
     def test_faults_change_the_run(self, session, fault_plan, report):
         faulted = session.run(seed=0, fault_plan=fault_plan)
         assert faulted.signature() != report.signature()
+
+    def test_bug_in_plan_repair_propagates(
+        self, session, fault_plan, monkeypatch
+    ):
+        """Only repair_plan's typed errors become a degrade; any other
+        error is a bug and must surface."""
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside repair_plan")
+
+        monkeypatch.setattr("repro.serve.server.repair_plan", broken)
+        with pytest.raises(TypeError, match="bug inside repair_plan"):
+            session.run(seed=0, fault_plan=fault_plan)
