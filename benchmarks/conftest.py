@@ -6,9 +6,8 @@ Every benchmark module regenerates one table or figure of the paper
 *shape* claims of its experiment — who wins, roughly by how much — so a
 regression in the planner or simulator fails the suite loudly.
 
-Workloads (graph + partition + plans) are cached per process and the
-partition assignments per machine (see repro.cache), so the first run
-pays a few minutes of partitioning and subsequent runs are fast.
+Workloads (graph + partition + plans) are cached per process, so
+tables that share a cell partition and plan it once.
 """
 
 from __future__ import annotations

@@ -214,6 +214,9 @@ class DGCLSession:
         self._fault_log = FaultLog()
         #: Inputs of the last build_comm_info, replayed on transitions.
         self._build_args: Optional[Dict[str, object]] = None
+        #: (graph, seed, topology) when the last build derived its own
+        #: partition, so sample_loader can reuse it; None otherwise.
+        self._derived_partition: Optional[tuple] = None
         self._feature_dim = 0
         if fault_plan is not None:
             self.inject_faults(fault_plan)
@@ -403,10 +406,12 @@ class DGCLSession:
             "engine": engine,
             "tune_kwargs": tune_kwargs,
         }
+        self._derived_partition = None
         if assignment is None:
             assignment = hierarchical_partition(
                 graph, self.topology, seed=seed
             ).assignment
+            self._derived_partition = (graph, seed, self.topology)
         assignment = np.asarray(assignment, dtype=np.int64)
         self.relation = CommRelation(graph, assignment, self.topology.num_devices)
 
@@ -561,7 +566,8 @@ class DGCLSession:
         feeds :class:`~repro.gnn.minibatch.MiniBatchTrainer` directly.
 
         ``assignment`` overrides the parent partition (default: the
-        same hierarchical partition ``build_comm_info`` would derive);
+        same hierarchical partition ``build_comm_info`` would derive,
+        reused when the last build partitioned this graph at this seed);
         ``incremental=False`` disarms the patch-from-previous-batch
         rung so every cache miss plans cold.
         """
@@ -590,9 +596,14 @@ class DGCLSession:
             drop_last=drop_last,
         )
         if assignment is None:
-            assignment = hierarchical_partition(
-                graph, self.topology, seed=seed
-            ).assignment
+            derived = self._derived_partition
+            if (derived is not None and derived[0] is graph
+                    and derived[1] == seed and derived[2] is self.topology):
+                assignment = self.relation.assignment  # already partitioned
+            else:
+                assignment = hierarchical_partition(
+                    graph, self.topology, seed=seed
+                ).assignment
         planner = BatchPlanner(
             graph,
             assignment,

@@ -230,8 +230,8 @@ class AutoTuner:
             self.dataset = dataset
             self.spec = DATASETS[dataset]
         else:
-            # Content-addressed name: process-wide workload caches key on
-            # the dataset string, so distinct graphs must not collide.
+            # Content-addressed display name for a graph outside the
+            # dataset table (the workload memo keys on content, not names).
             self.dataset = dataset or f"auto-{graph_fingerprint(graph)[:12]}"
             self.spec = workload_spec(graph, self.dataset)
         self.space = space if space is not None else SearchSpace(topology)

@@ -3,9 +3,10 @@
 A :class:`Workload` bundles everything one experiment cell needs — the
 data graph, the model, the topology, the partition and the
 communication relation — with lazy caching of the expensive pieces
-(partition, plans).  :func:`evaluate_scheme` then produces a
-:class:`SchemeResult` holding the simulated per-epoch time decomposed
-into communication and computation, or an OOM verdict.
+(partition, plans) in one process-wide memo keyed by content.
+:func:`evaluate_scheme` then produces a :class:`SchemeResult` holding
+the simulated per-epoch time decomposed into communication and
+computation, or an OOM verdict.
 
 Epoch anatomy (mirrors the paper's Listing 1 plus the backward pass):
 
@@ -26,23 +27,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, TypeVar
 
 import numpy as np
 
 from repro.core.baseline_planners import peer_to_peer_plan
 from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation
-from repro.cache import cached_assignment
 from repro.comm.collectives import ring_allreduce_time
 from repro.comm.methods import CommMethod, MethodTable
 from repro.core.spst import SPSTPlanner
 from repro.graph.csr import Graph
-from repro.graph.datasets import DATASETS, DatasetSpec, load_dataset
+from repro.graph.datasets import DatasetSpec, _dataset_spec, load_dataset
 from repro.gnn.models import GNNModel, build_model
 from repro.obs.metrics import MetricsRegistry, global_metrics
 from repro.obs.tracer import TRAINER_TRACK, Tracer
-from repro.partition.hierarchical import hierarchical_partition
+from repro.partition.hierarchical import hierarchical_partition, partition_tree
 from repro.partition.replication import replication_closure
 from repro.simulator.compute import (
     ComputeModel,
@@ -59,29 +59,33 @@ SCHEMES = ("dgcl", "peer-to-peer", "swap", "replication")
 
 BYTES_PER_FLOAT = 4
 
-# Partitions, relations and plans are independent of the GNN model (the
-# paper stresses that one plan serves every layer and model), so they are
-# cached process-wide across Workload instances.
-_PARTITION_CACHE: Dict[tuple, object] = {}
-_RELATION_CACHE: Dict[tuple, CommRelation] = {}
-_SPST_CACHE: Dict[tuple, CommPlan] = {}
-_P2P_CACHE: Dict[tuple, CommPlan] = {}
-# evaluate_scheme is pure in (workload identity, scheme, method): the
-# auto-tuner prices the same cell repeatedly across search rungs, so
-# results are memoised process-wide too.
-_EVAL_CACHE: Dict[tuple, "SchemeResult"] = {}
+# Partitions, relations, plans and priced epochs are memoised in one
+# process-wide dict.  Each key holds exactly the content its artefact is
+# built from (graph, partition and topology fingerprints, model widths),
+# never a label: cells share an entry only when they would rebuild the
+# same thing.  Plans are independent of the GNN model (the paper's one
+# plan per graph), and the auto-tuner prices the same cell across search
+# rungs, so both are reused across Workload instances.
+_MEMO: Dict[tuple, object] = {}
+
+_T = TypeVar("_T")
 
 
 def clear_caches() -> None:
-    """Drop all memoised partitions/relations/plans (mainly for tests)."""
-    from repro.schemes.builtin import clear_plan_cache
+    """Drop every memoised partition, relation, plan and priced epoch."""
+    _MEMO.clear()
 
-    _PARTITION_CACHE.clear()
-    _RELATION_CACHE.clear()
-    _SPST_CACHE.clear()
-    _P2P_CACHE.clear()
-    _EVAL_CACHE.clear()
-    clear_plan_cache()
+
+def _memoised(cache: str, key: tuple, build: Callable[[], _T]) -> _T:
+    """Get-or-build one memo entry, counting the lookup in ``cache.lookups``."""
+    key = (cache,) + key
+    hit = key in _MEMO
+    global_metrics().counter(
+        "cache.lookups", cache=cache, outcome="hit" if hit else "miss"
+    ).inc()
+    if not hit:
+        _MEMO[key] = build()
+    return _MEMO[key]
 
 
 @dataclass
@@ -136,7 +140,7 @@ class Workload:
         self.chunks_per_class = chunks_per_class
         self.partitioner = partitioner
         self._assignment = assignment
-        self.spec = spec or DATASETS[dataset]
+        self.spec = spec or _dataset_spec(dataset)
         self.graph = graph if graph is not None else load_dataset(dataset, seed=seed)
         self.model = build_model(
             model_name,
@@ -149,95 +153,89 @@ class Workload:
         self.compute_model = ComputeModel()
 
     # -- cached expensive artefacts -------------------------------------
-    def _cache_key(self) -> tuple:
+    @cached_property
+    def _placement_key(self) -> tuple:
+        """What the partition and relation are built from."""
+        from repro.autotune.fingerprint import (
+            graph_fingerprint,
+            partition_fingerprint,
+        )
+
         if self._assignment is not None:
-            from repro.autotune.fingerprint import partition_fingerprint
-
-            part = ("explicit", partition_fingerprint(self._assignment))
+            how = ("explicit", partition_fingerprint(self._assignment),
+                   self.num_devices)
+        elif self.partitioner == "metis":
+            how = ("metis", self.num_devices)
         else:
-            part = (self.partitioner,)
-        return (
-            self.dataset,
-            self.topology.name,
-            self.topology.num_devices,
-            self.seed,
-        ) + part
+            # hierarchical_partition reads only the device grouping, so
+            # memory and bandwidth sweeps share one partition.
+            how = ("hierarchical", repr(partition_tree(self.topology)))
+        return (graph_fingerprint(self.graph), self.seed) + how
 
-    @staticmethod
-    def _count_cache(name: str, hit: bool) -> None:
-        """Account a plan-cache lookup on the process-wide registry."""
-        global_metrics().counter(
-            "cache.lookups", cache=name, outcome="hit" if hit else "miss"
-        ).inc()
+    @cached_property
+    def _plan_key(self) -> tuple:
+        """What a communication plan is built from (a scheme name apart)."""
+        from repro.autotune.fingerprint import topology_fingerprint
 
-    def _compute_assignment(self) -> np.ndarray:
+        return self._placement_key + (
+            topology_fingerprint(self.topology), self.chunks_per_class,
+        )
+
+    def _compute_partition(self):
         """Run the configured partitioner (the cold path)."""
-        if self.partitioner == "metis":
+        from repro.partition.metis import PartitionResult, edge_cut
+
+        if self._assignment is not None:
+            assignment = np.asarray(self._assignment, dtype=np.int64)
+        elif self.partitioner == "metis":
             from repro.partition.metis import partition as metis_partition
 
-            return metis_partition(
+            assignment = metis_partition(
                 self.graph, self.num_devices, seed=self.seed
             ).assignment
-        return hierarchical_partition(
-            self.graph, self.topology, seed=self.seed
-        ).assignment
+        else:
+            assignment = hierarchical_partition(
+                self.graph, self.topology, seed=self.seed
+            ).assignment
+        sizes = np.bincount(assignment, minlength=self.num_devices)
+        n = self.graph.num_vertices
+        return PartitionResult(
+            assignment=assignment,
+            num_parts=self.num_devices,
+            edge_cut=edge_cut(self.graph, assignment),
+            imbalance=float(sizes.max() / (n / self.num_devices)) if n else 0.0,
+        )
 
     @cached_property
     def partition(self):
-        key = self._cache_key()
-        self._count_cache("partition", key in _PARTITION_CACHE)
-        if key not in _PARTITION_CACHE:
-            if self._assignment is not None:
-                assignment = np.asarray(self._assignment, dtype=np.int64)
-            else:
-                assignment = cached_assignment(
-                    ("partition",) + key,
-                    self.graph.num_vertices,
-                    self._compute_assignment,
-                )
-            from repro.partition.metis import PartitionResult, edge_cut
-
-            sizes = np.bincount(assignment, minlength=self.num_devices)
-            n = self.graph.num_vertices
-            _PARTITION_CACHE[key] = PartitionResult(
-                assignment=assignment,
-                num_parts=self.num_devices,
-                edge_cut=edge_cut(self.graph, assignment),
-                imbalance=float(sizes.max() / (n / self.num_devices)) if n else 0.0,
-            )
-        return _PARTITION_CACHE[key]
+        return _memoised("partition", self._placement_key,
+                         self._compute_partition)
 
     @cached_property
     def relation(self) -> CommRelation:
-        key = self._cache_key()
-        self._count_cache("relation", key in _RELATION_CACHE)
-        if key not in _RELATION_CACHE:
-            _RELATION_CACHE[key] = CommRelation(
-                self.graph, self.partition.assignment, self.topology.num_devices
-            )
-        return _RELATION_CACHE[key]
+        return _memoised("relation", self._placement_key, lambda: (
+            CommRelation(self.graph, self.partition.assignment,
+                         self.num_devices)
+        ))
 
     @cached_property
     def spst_plan(self) -> CommPlan:
-        key = self._cache_key() + (self.chunks_per_class,)
-        self._count_cache("spst_plan", key in _SPST_CACHE)
-        if key not in _SPST_CACHE:
+        def build() -> CommPlan:
             planner = SPSTPlanner(
                 self.topology,
                 granularity="chunk",
                 chunks_per_class=self.chunks_per_class,
                 seed=self.seed,
             )
-            _SPST_CACHE[key] = planner.plan(self.relation)
-        return _SPST_CACHE[key]
+            return planner.plan(self.relation)
+
+        return _memoised("spst_plan", self._plan_key, build)
 
     @cached_property
     def p2p_plan(self) -> CommPlan:
-        key = self._cache_key()
-        self._count_cache("p2p_plan", key in _P2P_CACHE)
-        if key not in _P2P_CACHE:
-            _P2P_CACHE[key] = peer_to_peer_plan(self.relation, self.topology)
-        return _P2P_CACHE[key]
+        return _memoised("p2p_plan", self._plan_key, lambda: (
+            peer_to_peer_plan(self.relation, self.topology)
+        ))
 
     # -- shared helpers --------------------------------------------------
     @property
@@ -496,9 +494,14 @@ def _evaluate_replication(workload: Workload) -> SchemeResult:
     )
 
 
-def _copy_result(result: SchemeResult) -> SchemeResult:
-    """Independent copy of a memoised result (detail dict included)."""
-    return replace(result, detail=dict(result.detail))
+def _copy_result(result: SchemeResult, workload: Workload) -> SchemeResult:
+    """Independent copy of a memoised result, labelled for ``workload``.
+
+    The memo key is content, so the entry may have been priced under
+    another dataset label.
+    """
+    return replace(result, dataset=workload.dataset,
+                   detail=dict(result.detail))
 
 
 def evaluate_scheme(
@@ -545,10 +548,10 @@ def evaluate_scheme(
     aggregation (``distgnn-delayed``) amortise their communication over
     ``staleness + 1`` epochs; exact schemes ignore it.
 
-    Identical ``(workload, scheme, method, fidelity, staleness)`` cells
-    are memoised process-wide (the tuner prices the same cell across
-    search rungs); telemetry-armed calls bypass the memo so spans are
-    always emitted.
+    Cells built from identical content (graph, partition, topology,
+    model widths, scheme, method, fidelity, staleness) are memoised
+    process-wide (the tuner prices the same cell across search rungs);
+    telemetry-armed calls bypass the memo so spans are always emitted.
     """
     from repro.schemes import EvalContext, get_scheme
 
@@ -558,28 +561,25 @@ def evaluate_scheme(
     scheme = spec.name
     if not spec.supports_staleness:
         staleness = 0
-    method_key = str(method) if method is not None else None
-    memo_key = None
-    if (tracer is None and metrics is None and auditor is None
-            and recorder is None):
-        memo_key = workload._cache_key() + (
-            workload.model_name, workload.num_layers,
-            workload.chunks_per_class, scheme, spec.version, method_key,
-            fidelity, staleness,
-        )
-        Workload._count_cache("evaluate", memo_key in _EVAL_CACHE)
-        if memo_key in _EVAL_CACHE:
-            return _copy_result(_EVAL_CACHE[memo_key])
 
-    methods = None
-    if method is not None and spec.tunable_method:
-        forced = method if isinstance(method, CommMethod) else CommMethod(method)
-        methods = MethodTable(workload.topology, force=forced)
+    def price() -> SchemeResult:
+        methods = None
+        if method is not None and spec.tunable_method:
+            forced = (method if isinstance(method, CommMethod)
+                      else CommMethod(method))
+            methods = MethodTable(workload.topology, force=forced)
+        return spec.cost_fn(workload, EvalContext(
+            fidelity=fidelity, staleness=staleness, methods=methods,
+            tracer=tracer, metrics=metrics, auditor=auditor,
+            recorder=recorder,
+        ))
 
-    result = spec.cost_fn(workload, EvalContext(
-        fidelity=fidelity, staleness=staleness, methods=methods,
-        tracer=tracer, metrics=metrics, auditor=auditor, recorder=recorder,
-    ))
-    if memo_key is not None:
-        _EVAL_CACHE[memo_key] = _copy_result(result)
-    return result
+    if (tracer is not None or metrics is not None or auditor is not None
+            or recorder is not None):
+        return price()
+    memo_key = workload._plan_key + (
+        workload.model_name, tuple(workload.model.layer_dims),
+        workload.num_layers, scheme, spec.version,
+        str(method) if method is not None else None, fidelity, staleness,
+    )
+    return _copy_result(_memoised("evaluate", memo_key, price), workload)

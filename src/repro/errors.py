@@ -30,6 +30,7 @@ __all__ = [
     "SimulatedOOMError",
     "PlanCacheError",
     "UnknownSchemeError",
+    "UnknownDatasetError",
     "OracleViolation",
     "ServeError",
     "ServeSpecError",
@@ -132,6 +133,25 @@ class UnknownSchemeError(ReproError, KeyError, ValueError):
             f"unknown strategy {name!r}; registered schemes: "
             f"{', '.join(self.registered)} "
             "(register custom schemes with dgcl.register_scheme)"
+        )
+
+    def __str__(self) -> str:  # KeyError quotes its repr; keep the text
+        return self.args[0]
+
+
+class UnknownDatasetError(ReproError, KeyError, ValueError):
+    """A dataset name is not one of the registered twins.
+
+    Subclasses ``KeyError`` (what a bare registry lookup used to raise)
+    and ``ValueError``, like :class:`UnknownSchemeError`.  The message
+    lists the available names.
+    """
+
+    def __init__(self, name: str, available: Sequence[str]) -> None:
+        self.name = name
+        self.available = tuple(available)
+        super().__init__(
+            f"unknown dataset {name!r}; available: {list(self.available)}"
         )
 
     def __str__(self) -> str:  # KeyError quotes its repr; keep the text

@@ -34,6 +34,7 @@ from typing import Callable, Dict
 
 import numpy as np
 
+from repro.errors import UnknownDatasetError
 from repro.graph.csr import Graph
 from repro.graph.generators import locality_power_law, planted_partition, rmat
 
@@ -185,18 +186,20 @@ DATASETS: Dict[str, DatasetSpec] = {
 _GRAPH_CACHE: Dict[tuple, Graph] = {}
 
 
+def _dataset_spec(name: str) -> DatasetSpec:
+    """The registered spec of a twin; UnknownDatasetError when absent."""
+    try:
+        return DATASETS[name]
+    except KeyError:
+        raise UnknownDatasetError(name, sorted(DATASETS)) from None
+
+
 def load_dataset(name: str, seed: int = 0, cache: bool = True) -> Graph:
     """Build (or fetch from the in-process cache) a dataset twin by name."""
     key = (name, seed)
     if cache and key in _GRAPH_CACHE:
         return _GRAPH_CACHE[key]
-    try:
-        spec = DATASETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown dataset {name!r}; available: {sorted(DATASETS)}"
-        ) from None
-    graph = spec.build(seed)
+    graph = _dataset_spec(name).build(seed)
     if cache:
         _GRAPH_CACHE[key] = graph
     return graph

@@ -15,33 +15,29 @@ SchemeResult``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable
 
 from repro.schemes.registry import EvalContext, SchemeSpec, global_registry
 
-__all__ = ["generic_plan_cost_fn", "clear_plan_cache"]
-
-# Compiled scheme plans are pure in (workload identity, scheme), like
-# the SPST/p2p plans cached in repro.baselines.strategies; cached here
-# process-wide so tuner rungs do not rebuild them.
-_SCHEME_PLAN_CACHE: Dict[tuple, object] = {}
-
-
-def clear_plan_cache() -> None:
-    """Drop memoised scheme plans (wired into baselines.clear_caches)."""
-    _SCHEME_PLAN_CACHE.clear()
+__all__ = ["generic_plan_cost_fn"]
 
 
 def _cached_plan(workload, name: str):
-    """Build (once) the named scheme's plan for a workload's relation."""
-    key = workload._cache_key() + (name,)
-    if key not in _SCHEME_PLAN_CACHE:
+    """Build (once) the named scheme's plan for a workload's relation.
+
+    Memoised process-wide next to the SPST/p2p plans, so tuner rungs do
+    not rebuild it.
+    """
+    from repro.baselines.strategies import _memoised
+
+    def build():
         spec = global_registry().get(name)
-        _SCHEME_PLAN_CACHE[key] = spec.build_plan(
+        return spec.build_plan(
             workload.relation, workload.topology,
             chunks_per_class=workload.chunks_per_class, seed=workload.seed,
         )
-    return _SCHEME_PLAN_CACHE[key]
+
+    return _memoised("scheme_plan", workload._plan_key + (name,), build)
 
 
 def generic_plan_cost_fn(name: str) -> Callable:

@@ -1,9 +1,7 @@
-"""Tests for the compute/memory models and the on-disk cache."""
+"""Tests for the compute and memory models."""
 
-import numpy as np
 import pytest
 
-from repro.cache import cached_assignment
 from repro.gnn.models import build_commnet, build_gcn, build_gin
 from repro.simulator.compute import (
     ComputeModel,
@@ -82,41 +80,3 @@ class TestMemoryModels:
         repl = training_memory_bytes(2000, 5000, dims)
         assert repl > part
 
-
-class TestDiskCache:
-    def test_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return np.arange(10, dtype=np.int64)
-
-        a = cached_assignment(("k", 1), 10, compute)
-        b = cached_assignment(("k", 1), 10, compute)
-        assert np.array_equal(a, b)
-        assert len(calls) == 1  # second call came from disk
-
-    def test_different_keys_diverge(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        a = cached_assignment(("k", 1), 5, lambda: np.zeros(5, dtype=np.int64))
-        b = cached_assignment(("k", 2), 5, lambda: np.ones(5, dtype=np.int64))
-        assert not np.array_equal(a, b)
-
-    def test_disabled_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", "0")
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return np.zeros(3, dtype=np.int64)
-
-        cached_assignment(("x",), 3, compute)
-        cached_assignment(("x",), 3, compute)
-        assert len(calls) == 2
-
-    def test_size_mismatch_recomputes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cached_assignment(("y",), 4, lambda: np.zeros(4, dtype=np.int64))
-        out = cached_assignment(("y",), 6, lambda: np.ones(6, dtype=np.int64))
-        assert out.size == 6

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.baselines import Workload
+from repro.errors import ReproError, UnknownDatasetError
 from repro.graph.csr import Graph
 from repro.graph.datasets import (
     DATASETS,
@@ -11,6 +13,7 @@ from repro.graph.datasets import (
     synthetic_labels,
 )
 from repro.graph.io import load_edge_list, save_edge_list
+from repro.topology import dgx1
 
 
 class TestDatasetRegistry:
@@ -34,6 +37,19 @@ class TestDatasetRegistry:
     def test_unknown_dataset_raises(self):
         with pytest.raises(KeyError, match="unknown dataset"):
             load_dataset("imaginary")
+
+    @pytest.mark.parametrize("entry", ["load_dataset", "Workload"])
+    def test_unknown_dataset_is_typed(self, entry):
+        build = {
+            "load_dataset": lambda: load_dataset("nope"),
+            "Workload": lambda: Workload("nope", "gcn", dgx1()),
+        }[entry]
+        with pytest.raises(UnknownDatasetError) as info:
+            build()
+        assert isinstance(info.value, (ReproError, KeyError, ValueError))
+        assert str(info.value) == (
+            f"unknown dataset 'nope'; available: {sorted(DATASETS)}"
+        )
 
     @pytest.mark.slow
     def test_twin_density_is_close_to_spec(self):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import Workload, evaluate_scheme
-from repro.baselines.strategies import clear_caches
 from repro.core import CommRelation, SPSTPlanner, static_tree_plan
 from repro.graph.datasets import DatasetSpec
 from repro.graph.generators import rmat
@@ -67,9 +66,6 @@ def _workload(feature_size=64, memory=None):
 
 
 class TestFeatureCaching:
-    def setup_method(self):
-        clear_caches()
-
     def test_cache_reduces_comm(self):
         w = _workload()
         plain = evaluate_scheme(w, scheme="dgcl")
@@ -94,7 +90,6 @@ class TestFeatureCaching:
         # Find a capacity where plain fits but the feature cache OOMs;
         # the cache increment is ~1 MB here, so sweep finely.
         for memory in np.arange(23e6, 19e6, -0.2e6):
-            clear_caches()
             w = _workload(feature_size=2048, memory=int(memory))
             plain = evaluate_scheme(w, scheme="dgcl")
             cached = evaluate_scheme(w, scheme="dgcl-cache")

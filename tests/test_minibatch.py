@@ -168,6 +168,29 @@ class TestSessionSurface:
             ]
             assert all(p.plan_source == "cache" for p in planned)
 
+    def test_sample_loader_reuses_build_partition(self, workload,
+                                                  monkeypatch):
+        import repro.api as api
+
+        calls = []
+        real = api.hierarchical_partition
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(api, "hierarchical_partition", counting)
+        g, _, _ = workload
+        with DGCLSession(topology_for_gpu_count(4)) as session:
+            session.build_comm_info(g)
+            _, _, planner = session.sample_loader(
+                g, batch_size=32, fanouts=(5, 5)
+            )
+            assert len(calls) == 1
+            assert planner.assignment is session.relation.assignment
+            session.sample_loader(g, batch_size=32, fanouts=(5,), seed=3)
+            assert len(calls) == 2  # another seed partitions afresh
+
     def test_sample_loader_khop_and_validation(self, workload):
         g, _, _ = workload
         with DGCLSession(topology_for_gpu_count(4)) as session:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import SCHEMES, Workload, evaluate_dgcl_r, evaluate_scheme
-from repro.baselines.strategies import clear_caches
 from repro.graph.datasets import DatasetSpec
 from repro.graph.generators import rmat
 from repro.topology import dgx1, dual_dgx1, single_device
@@ -33,13 +32,6 @@ def make_workload(topology, num_vertices=400, num_edges=4000,
     )
     return Workload("synthetic", model, topology, seed=seed, graph=graph,
                     spec=spec)
-
-
-@pytest.fixture(autouse=True)
-def _clear():
-    clear_caches()
-    yield
-    clear_caches()
 
 
 class TestSchemeEvaluation:
@@ -106,7 +98,6 @@ class TestSchemeEvaluation:
         where the partitioned schemes still fit."""
         for cap in (60, 45, 38, 30, 26, 22):
             topo = dgx1(memory_bytes=cap * 1_000_000)
-            clear_caches()
             w = make_workload(topo, num_vertices=2000, num_edges=20000,
                               feature_size=512, hidden_size=128)
             rep = evaluate_scheme(w, scheme="replication")
