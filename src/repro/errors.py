@@ -24,6 +24,7 @@ from typing import List, Sequence
 __all__ = [
     "ReproError",
     "FaultSpecError",
+    "PartitionSpecError",
     "ElasticSpecError",
     "UnrecoverableFaultError",
     "DeviceLostError",
@@ -50,6 +51,17 @@ class FaultSpecError(ReproError, ValueError):
     Raised with a message naming the offending event and field, so a
     mistyped ``--fault-spec`` file fails with "event #2 (link-loss):
     unknown connection field 'conection'" instead of a raw ``KeyError``.
+    """
+
+
+class PartitionSpecError(ReproError, ValueError):
+    """Partitioner arguments failed validation.
+
+    Raised at the entry of :func:`~repro.partition.partition` and
+    :func:`~repro.partition.hierarchical_partition` when ``num_parts`` is
+    not an integer in ``[1, n]``, ``balance_factor`` is not a finite
+    number of at least 1, or ``seed`` is not a non-negative integer —
+    instead of a lopsided partition or an untyped numpy error.
     """
 
 

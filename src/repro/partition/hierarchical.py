@@ -18,7 +18,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from repro.graph.csr import Graph
-from repro.partition.metis import PartitionResult, edge_cut, partition
+from repro.partition.metis import PartitionResult, _check_args, edge_cut, partition
 from repro.topology.topology import Topology
 
 __all__ = ["hierarchical_partition", "partition_tree", "recursive_partition"]
@@ -142,6 +142,7 @@ def hierarchical_partition(
     across sockets, then within sockets across GPUs.  Degenerates to the
     flat multilevel partitioner for single-machine single-socket boxes.
     """
+    _check_args(seed, balance_factor)
     num_devices = topology.num_devices
     n = graph.num_vertices
     if num_devices == 1:

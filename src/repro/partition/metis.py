@@ -14,19 +14,28 @@ the same multilevel scheme from scratch:
 3. **Uncoarsening + refinement** — the partition is projected back level
    by level, running boundary Kernighan–Lin/FM-style passes (move a
    vertex to the adjacent part with the best edge-cut gain, subject to
-   balance) at every level.
+   balance) at every level.  Refinement keeps a per-vertex, per-part
+   connectivity table, updated from a moved vertex's neighbours, so a
+   visit costs O(parts) rather than O(degree); ties go to the lighter
+   part, then to the part seen first among the vertex's neighbours.
 
 The partitioner works on the symmetrised weighted graph; edge cut is
-reported on the original directed graph.
+reported on the original directed graph.  Its output is deterministic
+in the seed: the tests pin sha256 digests of the assignment on the
+dataset twins, and check every vectorised step against a scalar
+reference scan.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import PartitionSpecError
 from repro.graph.csr import Graph
 
 __all__ = ["PartitionResult", "partition", "edge_cut"]
@@ -106,66 +115,83 @@ class _WeightedGraph:
             indptr = np.zeros(n + 1, dtype=np.int64)
             return cls(n, indptr, np.empty(0, np.int64), np.empty(0, np.int64), vweights)
         code = src * np.int64(n) + dst
-        order = np.argsort(code, kind="stable")
-        code, src, dst, weights = code[order], src[order], dst[order], weights[order]
+        # Order within a group of parallel edges only feeds an integer
+        # sum, so an unstable sort merges them to the same weights.
+        order = np.argsort(code)
+        code, weights = code[order], weights[order]
         boundary = np.empty(code.size, dtype=bool)
         boundary[0] = True
         boundary[1:] = code[1:] != code[:-1]
-        group = np.cumsum(boundary) - 1
-        merged_w = np.bincount(group, weights=weights).astype(np.int64)
-        merged_src = src[boundary]
-        merged_dst = dst[boundary]
+        starts = np.flatnonzero(boundary)
+        merged_w = np.add.reduceat(weights, starts)
+        merged_src, merged_dst = np.divmod(code[starts], n)
         counts = np.bincount(merged_src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return cls(n, indptr, merged_dst, merged_w, vweights)
 
-    def neighbors(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
-        s, e = self.indptr[v], self.indptr[v + 1]
-        return self.indices[s:e], self.eweights[s:e]
+    def sources(self) -> np.ndarray:
+        """The source vertex of every edge, in CSR order."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+
+
+#: Above this degree, matching picks a vertex's partner with one numpy
+#: argmax over its neighbour slice; at or below it a Python scan of the
+#: slice is cheaper (the low-degree coarse levels of e.g. wiki-talk).
+_VECTOR_MATCH_DEGREE = 32
 
 
 def _heavy_edge_matching(wg: _WeightedGraph, rng: np.random.Generator) -> np.ndarray:
     """Match each vertex with its heaviest unmatched neighbor.
 
-    Returns ``match`` with ``match[v]`` = partner (or ``v`` for
-    unmatched/self-matched vertices).
+    Vertices are visited in a random order; a visited vertex pairs with
+    the first neighbour, in CSR order, of the largest edge weight among
+    those still unmatched.  Returns ``match`` with ``match[v]`` = partner
+    (or ``v`` for vertices left single); it is an involution.
     """
     order = rng.permutation(wg.n)
     match = np.full(wg.n, -1, dtype=np.int64)
-    indptr, indices, eweights = wg.indptr, wg.indices, wg.eweights
-    for v in order:
-        if match[v] != -1:
+    partner = match.tolist()  # Python mirror of ``match`` for scalar reads
+    indptr, indices, eweights = wg.indptr.tolist(), wg.indices, wg.eweights
+    for v in order.tolist():
+        if partner[v] != -1:
             continue
         s, e = indptr[v], indptr[v + 1]
-        best, best_w = v, -1
-        for i in range(s, e):
-            u = indices[i]
-            if match[u] == -1 and u != v and eweights[i] > best_w:
-                best, best_w = u, eweights[i]
+        best = v
+        if e - s > _VECTOR_MATCH_DEGREE:
+            # Weights are at least 1, so -1 marks a matched neighbour;
+            # argmax returns the first maximum, as a strict ``>`` scan.
+            w = np.where(match[indices[s:e]] == -1, eweights[s:e], -1)
+            i = int(w.argmax())
+            if w[i] >= 0:
+                best = int(indices[s + i])
+        else:
+            best_w = -1
+            for u, w in zip(indices[s:e].tolist(), eweights[s:e].tolist()):
+                if partner[u] == -1 and w > best_w:
+                    best, best_w = u, w
         match[v] = best
         match[best] = v
+        partner[v] = best
+        partner[best] = v
     return match
 
 
 def _contract(wg: _WeightedGraph, match: np.ndarray) -> Tuple[_WeightedGraph, np.ndarray]:
-    """Contract matched pairs; returns the coarse graph and the mapping."""
+    """Contract matched pairs; returns the coarse graph and the mapping.
+
+    Each pair (or single) becomes one coarse vertex, numbered in order
+    of its smaller member.
+    """
     n = wg.n
-    coarse_id = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for v in range(n):
-        if coarse_id[v] != -1:
-            continue
-        coarse_id[v] = next_id
-        partner = match[v]
-        if partner != v and coarse_id[partner] == -1:
-            coarse_id[partner] = next_id
-        next_id += 1
+    first = np.minimum(np.arange(n, dtype=np.int64), match)
+    is_first = first == np.arange(n)
+    next_id = int(is_first.sum())
+    coarse_id = (np.cumsum(is_first) - 1)[first]
     vweights = np.bincount(coarse_id, weights=wg.vweights, minlength=next_id).astype(np.int64)
 
     # Re-express edges in coarse ids and drop intra-cluster edges.
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(wg.indptr))
-    csrc = coarse_id[src]
+    csrc = coarse_id[wg.sources()]
     cdst = coarse_id[wg.indices]
     keep = csrc != cdst
     coarse = _WeightedGraph._from_edges(
@@ -178,24 +204,20 @@ def _farthest_seeds(
     wg: _WeightedGraph, num_parts: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Pick seeds spread apart by BFS distance (disconnected first)."""
+    src = wg.sources()
     seeds = [int(rng.integers(wg.n))]
     for _ in range(num_parts - 1):
-        # Multi-source BFS from the current seeds.
+        # Multi-source BFS from the current seeds, one level per step.
         dist = np.full(wg.n, -1, dtype=np.int64)
-        frontier = list(seeds)
-        for s in frontier:
-            dist[s] = 0
+        dist[seeds] = 0
+        frontier = dist == 0
         level = 0
-        while frontier:
+        while frontier.any():
             level += 1
-            nxt = []
-            for v in frontier:
-                nbrs, _ = wg.neighbors(v)
-                for u in nbrs:
-                    if dist[u] == -1:
-                        dist[u] = level
-                        nxt.append(int(u))
-            frontier = nxt
+            reached = wg.indices[frontier[src]]
+            reached = reached[dist[reached] == -1]
+            dist[reached] = level
+            frontier = dist == level
         unreached = np.flatnonzero(dist == -1)
         if unreached.size:
             seeds.append(int(rng.choice(unreached)))
@@ -206,8 +228,7 @@ def _farthest_seeds(
 
 
 def _weighted_cut(wg: _WeightedGraph, assignment: np.ndarray) -> int:
-    src = np.repeat(np.arange(wg.n, dtype=np.int64), np.diff(wg.indptr))
-    crossing = assignment[src] != assignment[wg.indices]
+    crossing = assignment[wg.sources()] != assignment[wg.indices]
     return int(wg.eweights[crossing].sum())
 
 
@@ -241,22 +262,24 @@ def _grow_regions(
         part_weight[p] = wg.vweights[seed]
 
     # Grow parts: repeatedly take the lightest part and absorb its most
-    # connected unassigned neighbor (or any unassigned vertex).
+    # connected unassigned neighbor (or any unassigned vertex).  Edges
+    # are in CSR order (member ascending), so the first heaviest edge
+    # from the part to a free vertex is the one a scan of the part's
+    # members picks.  ``src_part`` is every edge's source part.
+    indptr, indices, eweights = wg.indptr, wg.indices, wg.eweights
+    src_part = np.repeat(assignment, np.diff(indptr))
+    full = np.iinfo(np.int64).max
     unassigned = wg.n - num_parts
     while unassigned > 0:
-        p = int(np.argmin(np.where(part_weight < max_part_weight, part_weight, np.iinfo(np.int64).max)))
-        members = np.flatnonzero(assignment == p)
-        best, best_conn = -1, -1
-        for v in members:
-            nbrs, ws = wg.neighbors(v)
-            for u, w in zip(nbrs, ws):
-                if assignment[u] == -1 and w > best_conn:
-                    best, best_conn = u, w
-        if best == -1:
-            remaining = np.flatnonzero(assignment == -1)
-            best = int(remaining[0])
+        p = int(np.argmin(np.where(part_weight < max_part_weight, part_weight, full)))
+        cand = np.flatnonzero((src_part == p) & (assignment[indices] == -1))
+        if cand.size:
+            best = int(indices[cand[np.argmax(eweights[cand])]])
+        else:
+            best = int(np.flatnonzero(assignment == -1)[0])
         assignment[best] = p
         part_weight[p] += wg.vweights[best]
+        src_part[indptr[best]:indptr[best + 1]] = p
         unassigned -= 1
     return assignment
 
@@ -269,59 +292,76 @@ def _refine(
     passes: int,
     rng: np.random.Generator,
 ) -> None:
-    """Boundary FM-style refinement, in place."""
-    part_weight = np.bincount(assignment, weights=wg.vweights, minlength=num_parts)
-    indptr, indices, eweights = wg.indptr, wg.indices, wg.eweights
-    degrees = np.diff(indptr)
+    """Boundary FM-style refinement, in place.
+
+    ``conn[v, p]`` is v's edge weight into part ``p``.  It is built once
+    and updated from a moved vertex's neighbour slice, so deciding a
+    visit costs O(num_parts) rather than O(degree).  A visited vertex
+    moves to the feasible adjacent part of highest positive gain; a
+    vertex of an overweight part also moves at no gain.  Ties go to the
+    lightest part, then to the part seen first among the neighbours.
+    """
+    n, indptr, indices, eweights = wg.n, wg.indptr, wg.indices, wg.eweights
+    conn = np.bincount(wg.sources() * num_parts + assignment[indices], weights=eweights,
+                       minlength=n * num_parts).astype(np.int64).reshape(n, num_parts)
+    total = conn.sum(axis=1)
+    rows = np.arange(n)
+    # Python mirrors for the per-visit scalar reads.  Part weights are
+    # integer-valued floats, so they compare exactly as numpy's would.
+    part_weight = np.bincount(assignment, weights=wg.vweights, minlength=num_parts).tolist()
+    vweights, ptr = wg.vweights.tolist(), indptr.tolist()
+    part_of = assignment.tolist()
     for _ in range(passes):
         moved = 0
-        # A vertex is on the boundary iff one of its edges crosses parts.
-        edge_src_part = np.repeat(assignment, degrees)
-        crossing = edge_src_part != assignment[indices]
-        boundary = np.flatnonzero(
-            np.bincount(np.repeat(np.arange(wg.n), degrees),
-                        weights=crossing, minlength=wg.n) > 0
-        )
+        boundary = np.flatnonzero(conn[rows, assignment] != total)
         order = boundary[rng.permutation(boundary.size)]
-        for v in order:
-            s, e = indptr[v], indptr[v + 1]
-            if s == e:
+        for v in order.tolist():
+            home = part_of[v]
+            row = conn[v].tolist()
+            internal = row[home]
+            if max(row) == internal and part_weight[home] <= max_part_weight:
+                continue  # no move gains (e.g. interior), home not overweight
+            vw = vweights[v]
+            feasible = [p for p, w in enumerate(row) if w and p != home
+                        and part_weight[p] + vw <= max_part_weight]
+            if not feasible:
                 continue
-            home = assignment[v]
-            nbr_parts = assignment[indices[s:e]]
-            if (nbr_parts == home).all():
-                continue  # interior vertex
-            # Connectivity of v to each adjacent part.
-            conn: dict = {}
-            for u_part, w in zip(nbr_parts, eweights[s:e]):
-                conn[u_part] = conn.get(u_part, 0) + w
-            internal = conn.get(home, 0)
-            best_part, best_gain = home, 0
-            for p, w in conn.items():
-                if p == home:
-                    continue
-                if part_weight[p] + wg.vweights[v] > max_part_weight:
-                    continue
-                gain = w - internal
-                if gain > best_gain or (
-                    gain == best_gain
-                    and best_part != home
-                    and part_weight[p] < part_weight[best_part]
-                ):
-                    best_part, best_gain = p, gain
-            # Also allow zero-gain balance moves from overweight parts.
-            if best_part == home and part_weight[home] > max_part_weight:
-                candidates = [p for p in conn if p != home
-                              and part_weight[p] + wg.vweights[v] <= max_part_weight]
-                if candidates:
-                    best_part = min(candidates, key=lambda p: part_weight[p])
-            if best_part != home:
-                part_weight[home] -= wg.vweights[v]
-                part_weight[best_part] += wg.vweights[v]
-                assignment[v] = best_part
-                moved += 1
+            top = max([row[p] for p in feasible])
+            if top > internal:  # the parts of highest (positive) gain
+                tied = [p for p in feasible if row[p] == top]
+            elif part_weight[home] > max_part_weight:
+                tied = feasible  # a zero-gain move out of an overweight part
+            else:
+                continue
+            if len(tied) > 1:  # the lightest, then the first seen
+                lightest = min([part_weight[p] for p in tied])
+                tied = [p for p in tied if part_weight[p] == lightest]
+            s, e = ptr[v], ptr[v + 1]
+            best_part = tied[0] if len(tied) == 1 else next(
+                p for p in assignment[indices[s:e]].tolist() if p in tied)
+            part_weight[home] -= vw
+            part_weight[best_part] += vw
+            assignment[v] = part_of[v] = best_part
+            nbrs, ws = indices[s:e], eweights[s:e]
+            conn[nbrs, home] -= ws
+            conn[nbrs, best_part] += ws
+            moved += 1
         if moved == 0:
             break
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_args(seed, balance_factor) -> None:
+    """Reject a seed or balance factor the partitioner cannot honour."""
+    if not _is_int(seed) or seed < 0:
+        raise PartitionSpecError(f"seed must be a non-negative integer, got {seed!r}")
+    if (not isinstance(balance_factor, numbers.Real) or isinstance(balance_factor, bool)
+            or not math.isfinite(balance_factor) or balance_factor < 1):
+        raise PartitionSpecError(
+            f"balance_factor must be a finite number >= 1, got {balance_factor!r}")
 
 
 def partition(
@@ -351,13 +391,14 @@ def partition(
         Stop coarsening when at most this many vertices remain
         (default: ``max(32 * num_parts, 128)``).
     """
-    if num_parts < 1:
-        raise ValueError("num_parts must be at least 1")
     n = graph.num_vertices
+    _check_args(seed, balance_factor)
+    if not _is_int(num_parts) or not 1 <= num_parts <= max(n, 1):
+        raise PartitionSpecError(
+            f"cannot split {n} vertices into {num_parts!r} parts: num_parts "
+            f"must be an integer in [1, {max(n, 1)}]")
     if num_parts == 1:
         return PartitionResult(np.zeros(n, dtype=np.int64), 1, 0, 1.0 if n else 0.0)
-    if num_parts > n:
-        raise ValueError(f"cannot split {n} vertices into {num_parts} parts")
 
     rng = np.random.default_rng(seed)
     target = coarsen_until or max(32 * num_parts, 128)

@@ -1,10 +1,14 @@
 """Tests for multilevel, hierarchical partitioning and replication."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.errors import PartitionSpecError
+from repro.graph import datasets
 from repro.graph.csr import Graph
-from repro.graph.generators import grid_graph, planted_partition
+from repro.graph.generators import grid_graph, planted_partition, rmat
 from repro.partition import (
     edge_cut,
     hierarchical_partition,
@@ -17,7 +21,8 @@ from repro.partition.replication import (
     machine_replication,
     machine_replication_factor,
 )
-from repro.topology import dgx1, dual_dgx1, single_device
+from repro.serve.scenarios import GRAPH_SEED, NUM_EDGES, NUM_VERTICES
+from repro.topology import dgx1, dual_dgx1, single_device, topology_for_gpu_count
 
 from tests.conftest import assert_valid_assignment
 
@@ -68,6 +73,10 @@ class TestMultilevel:
         with pytest.raises(ValueError):
             partition(small_graph, 0)
 
+    def test_fractional_parts_rejected(self, small_graph):
+        with pytest.raises(PartitionSpecError, match="num_parts"):
+            partition(small_graph, 2.5)
+
     def test_edge_cut_function(self):
         g = Graph([0, 1, 2], [1, 2, 0], 3)
         assert edge_cut(g, np.array([0, 0, 0])) == 0
@@ -78,6 +87,38 @@ class TestMultilevel:
         g = Graph([0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], 6)
         r = partition(g, 2, seed=0)
         assert r.edge_cut == 0
+
+
+ENTRY_POINTS = {
+    "partition": lambda graph, **kw: partition(graph, 4, **kw),
+    "hierarchical_partition":
+        lambda graph, **kw: hierarchical_partition(graph, dgx1(), **kw),
+}
+
+
+class TestArgumentChecks:
+    """Both entry points reject arguments they cannot honour, with a
+    typed error, instead of a lopsided partition or a numpy error."""
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"balance_factor": 0.5}, "balance_factor"),
+        ({"balance_factor": float("nan")}, "balance_factor"),
+        ({"balance_factor": float("inf")}, "balance_factor"),
+        ({"balance_factor": "1.1"}, "balance_factor"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+    ])
+    def test_rejected(self, small_graph, entry, kwargs, field):
+        with pytest.raises(PartitionSpecError, match=field) as info:
+            ENTRY_POINTS[entry](small_graph, **kwargs)
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_accepted(self, small_graph, entry):
+        result = ENTRY_POINTS[entry](small_graph, seed=np.int64(2),
+                                     balance_factor=1)
+        assert result.assignment.size == small_graph.num_vertices
 
 
 class TestHierarchical:
@@ -243,3 +284,69 @@ class TestUnequalGroups:
         m0 = sizes[:2].sum()
         m1 = sizes[2:].sum()
         assert 1.5 < m1 / m0 < 6.0
+
+
+#: sha256 of ``hierarchical_partition(twin, topology_for_gpu_count(gpus),
+#: seed=0)`` for every cell the e2e workloads partition, plus web-google
+#: on one and on two machines.
+_TWIN_DIGESTS = {
+    ("web-google", 8):
+        "a98f80811bbab789cbab6c075b2b21d35a3ab7004a4aaac5aa6d7d5612e7fb00",
+    ("web-google", 16):
+        "eb4791f3497319485812d531f938797a23a004e52d9d0a668dbcff045464b80f",
+    ("reddit", 8):
+        "481475fb1203439097644a314940f02b2a42b05732b2cc5812ae07deafb9da3e",
+    ("wiki-talk", 16):
+        "0b206dfce3fe7970bf272ac1d1125fb0c9df87342f940d865a75a933cdf42bfe",
+    ("com-orkut", 8):
+        "f70380410521e21a6c41d629655a0fe020f3ac5f4b534aea24ea60f869dd4143",
+}
+
+#: sha256 of the flat 8-way partition of the serve scenarios' graph.
+#: Seed 0 is the ``ServeConfig.partition_seed`` default that both the
+#: scenario probe and every serve deployment partition with.
+_SERVE_DIGESTS = {
+    0: "7f52caeb0d4b87235e49efb4d85301ea8d321f783045207b6ab95715e4549cbd",
+    1: "ef56dbfa900b5967dd0880a9c81a0e6aed064314469b6c0851fe10714232d505",
+}
+
+
+def _digest(assignment: np.ndarray) -> str:
+    data = np.ascontiguousarray(assignment, dtype=np.int64).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def twin():
+    """Each dataset twin, built once for this module (seed 0, as the
+    e2e workloads and the benches load them)."""
+    graphs = {}
+
+    def load(name):
+        if name not in graphs:
+            graphs[name] = datasets.load_dataset(name, seed=0, cache=False)
+        return graphs[name]
+
+    return load
+
+
+class TestGoldenAssignments:
+    """The partitioner's output, bit for bit.
+
+    Every plan, simulated time and paper table downstream depends on
+    the assignment, so a partitioner change that is meant to be only
+    faster must leave these sha256 digests unchanged.
+    """
+
+    @pytest.mark.parametrize("name,gpus", list(_TWIN_DIGESTS),
+                             ids=[f"{n}-{g}" for n, g in _TWIN_DIGESTS])
+    def test_twin_hierarchical(self, twin, name, gpus):
+        result = hierarchical_partition(
+            twin(name), topology_for_gpu_count(gpus), seed=0)
+        assert _digest(result.assignment) == _TWIN_DIGESTS[name, gpus]
+
+    @pytest.mark.parametrize("seed", list(_SERVE_DIGESTS))
+    def test_serve_graph_flat(self, seed):
+        graph = rmat(NUM_VERTICES, NUM_EDGES, seed=GRAPH_SEED)
+        assignment = partition(graph, 8, seed=seed).assignment
+        assert _digest(assignment) == _SERVE_DIGESTS[seed]
