@@ -25,14 +25,7 @@ from __future__ import annotations
 
 from repro.baselines.strategies import evaluate_scheme
 from repro.core.spst import SPSTPlanner
-from repro.obs import (
-    CostModelAuditor,
-    FlightRecorder,
-    MetricsRegistry,
-    RunProfile,
-    Tracer,
-    profile_json,
-)
+from repro.obs import CostModelAuditor, RunProfile, Telemetry, profile_json
 from repro.simulator.executor import PlanExecutor
 
 from benchmarks.conftest import get_workload, shared_topology, write_table
@@ -50,15 +43,13 @@ FIG10_MATCH_TOL = 1e-9
 def _profile_once(dataset: str) -> RunProfile:
     """One audited + recorded dgcl evaluation, digested into a profile."""
     w = get_workload(dataset, "gcn", NUM_GPUS)
-    tracer, metrics = Tracer(), MetricsRegistry()
-    auditor = CostModelAuditor(metrics=metrics)
-    recorder = FlightRecorder()
-    result = evaluate_scheme(w, scheme="dgcl", tracer=tracer, metrics=metrics,
-                             auditor=auditor, recorder=recorder)
+    telemetry = Telemetry.full()
+    result = evaluate_scheme(w, scheme="dgcl", telemetry=telemetry)
     assert result.ok, result.status
-    return RunProfile.from_recorder(recorder, audit=auditor, meta={
-        "source": "bench", "dataset": dataset, "gpus": NUM_GPUS,
-    })
+    return RunProfile.from_recorder(
+        telemetry.recorder, audit=telemetry.auditor,
+        meta={"source": "bench", "dataset": dataset, "gpus": NUM_GPUS},
+    )
 
 
 def _fig10_delta(dataset: str) -> float:
@@ -71,7 +62,9 @@ def _fig10_delta(dataset: str) -> float:
     fig10_error = (actual - estimated) / estimated
 
     auditor = CostModelAuditor()
-    PlanExecutor(w.topology, auditor=auditor).execute(plan, bpu)
+    PlanExecutor(w.topology, telemetry=Telemetry(auditor=auditor)).execute(
+        plan, bpu
+    )
     return abs(auditor.records[-1].signed_error - fig10_error)
 
 

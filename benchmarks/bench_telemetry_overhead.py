@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Telemetry, Tracer
 from repro.runtime import ProtocolRunner
 from repro.simulator.executor import PlanExecutor
 
@@ -43,7 +43,9 @@ def test_telemetry_overhead(benchmark):
         bare, bare_wall = timed(lambda: bare_exec.execute(plan, bpu))
 
         tracer, metrics = Tracer(), MetricsRegistry()
-        armed_exec = PlanExecutor(w.topology, tracer=tracer, metrics=metrics)
+        armed_exec = PlanExecutor(
+            w.topology, telemetry=Telemetry(tracer=tracer, metrics=metrics)
+        )
 
         def armed_run():
             tracer.clear()
@@ -59,7 +61,7 @@ def test_telemetry_overhead(benchmark):
         proto_bare = ProtocolRunner(w.relation, plan).run_timed(bpu)
         proto_tracer = Tracer()
         proto_armed = ProtocolRunner(
-            w.relation, plan, tracer=proto_tracer
+            w.relation, plan, telemetry=Telemetry(tracer=proto_tracer)
         ).run_timed(bpu)
         assert proto_armed.total_time == proto_bare.total_time
 
@@ -85,7 +87,9 @@ def test_telemetry_overhead(benchmark):
     w = get_workload("web-google", "gcn", 8)
     plan = w.spst_plan
     tracer, metrics = Tracer(), MetricsRegistry()
-    armed = PlanExecutor(w.topology, tracer=tracer, metrics=metrics)
+    armed = PlanExecutor(
+        w.topology, telemetry=Telemetry(tracer=tracer, metrics=metrics)
+    )
 
     def record_once():
         tracer.clear()
@@ -117,9 +121,9 @@ def test_telemetry_neutrality_newer_paths():
     bpu = w.boundary_bytes()[0]
     plan = w.spst_plan
     bare = PlanExecutor(w.topology).execute(plan, bpu)
-    armed = PlanExecutor(
-        w.topology, auditor=CostModelAuditor(), recorder=FlightRecorder()
-    ).execute(plan, bpu)
+    armed = PlanExecutor(w.topology, telemetry=Telemetry(
+        auditor=CostModelAuditor(), recorder=FlightRecorder()
+    )).execute(plan, bpu)
     assert armed.total_time == bare.total_time
     assert armed.stage_finish == bare.stage_finish
 
@@ -127,7 +131,9 @@ def test_telemetry_neutrality_newer_paths():
     g = rmat(250, 1800, seed=4)
     topo = get_workload("web-google", "gcn", 8).topology
     plain = AutoTuner(g, topo).tune()
-    audited = AutoTuner(g, topo, auditor=CostModelAuditor()).tune()
+    audited = AutoTuner(
+        g, topo, telemetry=Telemetry(auditor=CostModelAuditor())
+    ).tune()
     assert [t.cost for t in plain.trials] == [t.cost for t in audited.trials]
     assert plain.candidate == audited.candidate
 
@@ -142,7 +148,8 @@ def test_telemetry_neutrality_newer_paths():
 
         controller = ElasticController(
             g, topo, build_gcn(6, 8, 4, seed=7), feats, labels,
-            elastic=ElasticPolicy(min_devices=2), tracer=tracer,
+            elastic=ElasticPolicy(min_devices=2),
+            telemetry=Telemetry(tracer=tracer),
         )
         report = controller.train_with_schedule(4, schedule)
         return list(report.losses), controller.clock

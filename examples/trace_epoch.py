@@ -1,9 +1,11 @@
 """Trace one distributed training epoch and export it for Perfetto.
 
-Arms a :class:`~repro.obs.tracer.Tracer` and a
-:class:`~repro.obs.metrics.MetricsRegistry` on the distributed trainer,
-runs one epoch of a 2-layer GCN on the Reddit twin across 4 simulated
-GPUs, and writes a Chrome ``trace_event`` file.  Open the output in
+Arms the distributed trainer with a
+:class:`~repro.obs.telemetry.Telemetry` handle holding a
+:class:`~repro.obs.tracer.Tracer` and a
+:class:`~repro.obs.metrics.MetricsRegistry`, runs one epoch of a
+2-layer GCN on the Reddit twin across 4 simulated GPUs, and writes a
+Chrome ``trace_event`` file.  Open the output in
 https://ui.perfetto.dev (or chrome://tracing): one row per trainer
 phase, one per device, one per physical wire — every timestamp is
 simulated, so the same seed always produces the byte-identical file.
@@ -16,7 +18,13 @@ import sys
 from repro.baselines import Workload
 from repro.gnn.distributed import DistributedTrainer
 from repro.graph.datasets import synthetic_features, synthetic_labels
-from repro.obs import MetricsRegistry, Tracer, stats_table, write_chrome_trace
+from repro.obs import (
+    MetricsRegistry,
+    Telemetry,
+    Tracer,
+    stats_table,
+    write_chrome_trace,
+)
 from repro.topology import topology_for_gpu_count
 
 
@@ -30,7 +38,7 @@ def main() -> None:
     tracer, metrics = Tracer(), MetricsRegistry()
     trainer = DistributedTrainer(
         workload.relation, workload.spst_plan, workload.model,
-        features, labels, tracer=tracer, metrics=metrics,
+        features, labels, telemetry=Telemetry(tracer=tracer, metrics=metrics),
     )
     result = trainer.run_epoch()
     print(f"epoch 0: loss = {result.loss:.4f}, "

@@ -57,6 +57,7 @@ import time
 from typing import List, Optional
 
 from repro.graph.datasets import DATASETS
+from repro.obs.telemetry import Telemetry
 
 
 def _topology(num_gpus: int, kind: str):
@@ -247,14 +248,30 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_telemetry(path: Optional[str], metrics: bool = True) -> Telemetry:
+    """A tracer (and metrics) for an ``--emit-trace PATH`` run; a
+    disarmed handle without a path."""
+    if not path:
+        return Telemetry()
+    from repro.obs import MetricsRegistry, Tracer
+
+    return Telemetry(tracer=Tracer(),
+                     metrics=MetricsRegistry() if metrics else None)
+
+
+def _write_trace(telemetry: Telemetry, path: str, file=None) -> None:
+    """Write ``--emit-trace``'s Chrome trace and report its span count."""
+    from repro.obs import write_chrome_trace
+
+    write_chrome_trace(telemetry.tracer, path, metrics=telemetry.metrics)
+    print(f"wrote {len(telemetry.tracer.events())} spans to {path}",
+          file=file)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.baselines import SCHEMES, Workload, evaluate_dgcl_r, evaluate_scheme
 
-    tracer = metrics = None
-    if args.emit_trace:
-        from repro.obs import MetricsRegistry, Tracer
-
-        tracer, metrics = Tracer(), MetricsRegistry()
+    telemetry = _trace_telemetry(args.emit_trace)
     topology = _topology(args.gpus, args.topology)
     workload = Workload(args.dataset, args.model, topology)
     if args.scheme == "auto":
@@ -271,14 +288,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                             partitioner=picked.partitioner,
                             chunks_per_class=picked.chunks_per_class)
         results = [
-            evaluate_scheme(workload, scheme=picked.strategy, tracer=tracer,
-                            metrics=metrics, method=picked.method,
+            evaluate_scheme(workload, scheme=picked.strategy,
+                            telemetry=telemetry, method=picked.method,
                             staleness=picked.staleness)
         ]
     else:
         schemes = [args.scheme] if args.scheme else list(SCHEMES)
         results = [
-            evaluate_scheme(workload, scheme=scheme, tracer=tracer, metrics=metrics)
+            evaluate_scheme(workload, scheme=scheme, telemetry=telemetry)
             for scheme in schemes
         ]
     if topology.num_machines() > 1 and not args.scheme:
@@ -316,11 +333,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 print(f"{r.scheme:14s} {'-':>10s} {'-':>9s} {'-':>12s}  "
                       f"{r.status}")
     if args.emit_trace:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(tracer, args.emit_trace, metrics=metrics)
-        print(f"wrote {len(tracer.events())} spans to {args.emit_trace}",
-              file=sys.stderr if args.json else sys.stdout)
+        _write_trace(telemetry, args.emit_trace,
+                     file=sys.stderr if args.json else sys.stdout)
     return 0
 
 
@@ -467,14 +481,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"plan: {plan} ({session.plan_source})")
     else:
         plan = workload.spst_plan
-    tracer = metrics = None
-    if args.emit_trace:
-        from repro.obs import MetricsRegistry, Tracer
-
-        tracer, metrics = Tracer(), MetricsRegistry()
+    telemetry = _trace_telemetry(args.emit_trace)
     dist = DistributedTrainer(
         relation, plan, workload.model, features,
-        labels, lr=args.lr, tracer=tracer, metrics=metrics,
+        labels, lr=args.lr, telemetry=telemetry,
     )
     print(f"training {args.model} on {args.dataset} across "
           f"{args.gpus} simulated GPUs:")
@@ -482,10 +492,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         result = dist.run_epoch()
         print(f"  epoch {epoch}: loss = {result.loss:.4f}")
     if args.emit_trace:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(tracer, args.emit_trace, metrics=metrics)
-        print(f"wrote {len(tracer.events())} spans to {args.emit_trace}")
+        _write_trace(telemetry, args.emit_trace)
     reference = SingleDeviceTrainer(
         workload.graph,
         build_model(args.model, spec.feature_size, spec.hidden_size,
@@ -516,11 +523,8 @@ def _train_with_faults(args, workload, spec, features, labels) -> int:
               file=sys.stderr)
         return 2
     print(f"fault plan: {fault_plan}")
-    tracer = None
-    if args.emit_trace:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
+    # Spans only: the resilient trainer records no metrics.
+    telemetry = _trace_telemetry(args.emit_trace, metrics=False)
     trainer = ResilientTrainer(
         workload.graph,
         workload.topology,
@@ -530,7 +534,7 @@ def _train_with_faults(args, workload, spec, features, labels) -> int:
         lr=args.lr,
         fault_plan=fault_plan,
         checkpoint_every=args.checkpoint_every,
-        tracer=tracer,
+        telemetry=telemetry,
     )
     report = trainer.train(args.epochs)
     for epoch, loss in enumerate(report.losses):
@@ -538,10 +542,7 @@ def _train_with_faults(args, workload, spec, features, labels) -> int:
     print(report.summary())
     print(report.log.summary())
     if args.emit_trace:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(tracer, args.emit_trace)
-        print(f"wrote {len(tracer.events())} spans to {args.emit_trace}")
+        _write_trace(telemetry, args.emit_trace)
     reference = SingleDeviceTrainer(
         workload.graph,
         build_model(args.model, spec.feature_size, spec.hidden_size,
@@ -829,28 +830,25 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.baselines import Workload, evaluate_scheme
     from repro.obs import (
         CostModelAuditor,
-        FlightRecorder,
         MetricsRegistry,
         RunProfile,
-        Tracer,
         render_profile,
         write_profile,
     )
 
-    tracer, metrics = Tracer(), MetricsRegistry()
-    auditor = CostModelAuditor(threshold=args.threshold, metrics=metrics)
-    recorder = FlightRecorder()
+    metrics = MetricsRegistry()
+    telemetry = Telemetry.full(metrics=metrics, auditor=CostModelAuditor(
+        threshold=args.threshold, metrics=metrics))
     topology = _topology(args.gpus, args.topology)
     workload = Workload(args.dataset, args.model, topology)
-    result = evaluate_scheme(
-        workload, scheme=args.scheme, tracer=tracer, metrics=metrics,
-        auditor=auditor, recorder=recorder,
-    )
+    result = evaluate_scheme(workload, scheme=args.scheme,
+                             telemetry=telemetry)
     if not result.ok:
         print(f"error: {args.scheme} on {args.dataset} is {result.status}",
               file=sys.stderr)
         return 1
-    profile = RunProfile.from_recorder(recorder, audit=auditor, meta={
+    profile = RunProfile.from_recorder(
+        telemetry.recorder, audit=telemetry.auditor, meta={
         "source": "cli",
         "dataset": args.dataset,
         "model": args.model,
@@ -912,15 +910,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """``trace``: one traced run, exported for Perfetto or as JSONL."""
     from repro.baselines import Workload, evaluate_scheme
-    from repro.obs import (
-        MetricsRegistry,
-        Tracer,
-        stats_table,
-        write_chrome_trace,
-        write_jsonl,
-    )
+    from repro.obs import stats_table, write_chrome_trace, write_jsonl
 
-    tracer, metrics = Tracer(), MetricsRegistry()
+    telemetry = _trace_telemetry(args.output)
+    tracer, metrics = telemetry.tracer, telemetry.metrics
     workload = Workload(args.dataset, args.model,
                         _topology(args.gpus, args.topology))
     fault_log = None
@@ -933,15 +926,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
         labels = synthetic_labels(workload.graph, spec.num_classes)
         trainer = DistributedTrainer(
             workload.relation, workload.spst_plan, workload.model,
-            features, labels, tracer=tracer, metrics=metrics,
+            features, labels, telemetry=telemetry,
         )
         for _ in range(args.epochs):
             trainer.run_epoch()
         print(f"traced {args.epochs} training epoch(s) of {args.model} on "
               f"{args.dataset}: {tracer.duration() * 1e3:.3f} ms simulated")
     else:
-        result = evaluate_scheme(workload, scheme=args.scheme, tracer=tracer,
-                                 metrics=metrics)
+        result = evaluate_scheme(workload, scheme=args.scheme,
+                                 telemetry=telemetry)
         print(f"traced {args.scheme} evaluation on {args.dataset}: "
               f"{result.status}"
               + (f", epoch {result.ms():.3f} ms" if result.ok else ""))

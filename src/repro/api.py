@@ -41,6 +41,7 @@ from repro.graph.csr import Graph
 from repro.obs.audit import CostModelAuditor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import FlightRecorder, RunProfile
+from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import TRAINER_TRACK, Tracer
 from repro.partition.hierarchical import hierarchical_partition
 from repro.runtime.bootstrap import simulate_bootstrap
@@ -196,12 +197,9 @@ class DGCLSession:
         self.executor = PlanExecutor(topology)
         #: Simulated seconds spent in communication since init.
         self.simulated_comm_seconds = 0.0
-        #: Telemetry sinks: None until :meth:`arm_telemetry` is called.
-        self.tracer: Optional[Tracer] = None
-        self.metrics: Optional[MetricsRegistry] = None
-        #: Profiling sinks (also armed by :meth:`arm_telemetry`).
-        self.auditor: Optional[CostModelAuditor] = None
-        self.recorder: Optional[FlightRecorder] = None
+        #: The session's one telemetry handle: disarmed until
+        #: :meth:`arm_telemetry`, which fills all four sinks at once.
+        self.telemetry = Telemetry()
         #: Plan-cache key of the active plan (annotation target).
         self._cache_key = None
         #: Audit records already propagated to the plan cache.
@@ -247,10 +245,7 @@ class DGCLSession:
         self.relation = None
         self.plan_source = None
         self.injector = None
-        self.tracer = None
-        self.metrics = None
-        self.auditor = None
-        self.recorder = None
+        self.telemetry = Telemetry()
         global _SESSION
         if _SESSION is self:
             _SESSION = None
@@ -277,25 +272,21 @@ class DGCLSession:
         The priced timings themselves are unchanged — telemetry is
         strictly post-hoc.  Returns the session for chaining.
         """
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.auditor = (
-            auditor if auditor is not None
-            else CostModelAuditor(metrics=self.metrics)
-        )
-        self.recorder = recorder if recorder is not None else FlightRecorder()
-        if self.tracer.now < self.simulated_comm_seconds:
-            self.tracer.advance(self.simulated_comm_seconds - self.tracer.now)
+        self.telemetry = Telemetry.full(tracer, metrics, auditor, recorder)
+        self._catch_up_clock()
         self.executor = self._build_executor()
         return self
 
+    def _catch_up_clock(self) -> None:
+        """Move the trace clock up to :attr:`simulated_comm_seconds`."""
+        telemetry = self.telemetry
+        if telemetry.now < self.simulated_comm_seconds:
+            telemetry.advance(self.simulated_comm_seconds - telemetry.now)
+
     def _build_executor(self, capacity_of=None) -> PlanExecutor:
-        """An executor on the active topology with the armed sinks."""
-        return PlanExecutor(
-            self.topology, capacity_of=capacity_of,
-            tracer=self.tracer, metrics=self.metrics,
-            auditor=self.auditor, recorder=self.recorder,
-        )
+        """An executor on the active topology with the session's telemetry."""
+        return PlanExecutor(self.topology, capacity_of=capacity_of,
+                            telemetry=self.telemetry)
 
     def inject_faults(self, fault_plan) -> FaultInjector:
         """Attach a :class:`~repro.faults.spec.FaultPlan` to the session.
@@ -524,9 +515,9 @@ class DGCLSession:
                 # schedule the session runtime cannot honour.
                 staleness_options=(0,) if plan_based_only else None,
             )
-        if self.auditor is not None:
-            # An armed session audits the tuner's full-fidelity rung too.
-            kwargs.setdefault("auditor", self.auditor)
+        # An armed session audits the tuner's full-fidelity rung too.
+        kwargs.setdefault("telemetry",
+                          Telemetry(auditor=self.telemetry.auditor))
         tuner = AutoTuner(
             graph,
             self.topology,
@@ -562,7 +553,7 @@ class DGCLSession:
         :class:`~repro.sampling.samplers.KHopSampler` when ``hops`` is
         (exactly one must be) — and a
         :class:`~repro.sampling.planner.BatchPlanner` bound to this
-        session's topology, plan cache and metrics sink.  The triple
+        session's topology, plan cache and telemetry.  The triple
         feeds :class:`~repro.gnn.minibatch.MiniBatchTrainer` directly.
 
         ``assignment`` overrides the parent partition (default: the
@@ -612,7 +603,7 @@ class DGCLSession:
             chunks_per_class=chunks_per_class,
             seed=seed,
             incremental=incremental,
-            metrics=self.metrics,
+            telemetry=self.telemetry,
         )
         return loader, sampler, planner
 
@@ -664,12 +655,8 @@ class DGCLSession:
     def _advance(self, report, name: str) -> None:
         """Advance the session clock (and, if armed, the trace clock)."""
         self.simulated_comm_seconds += report.total_time
-        if self.tracer is not None:
-            t0 = self.tracer.now
-            self.tracer.add_span(name, "phase", TRAINER_TRACK, t0,
-                                 t0 + report.total_time,
-                                 bytes=report.bytes_moved())
-            self.tracer.advance(report.total_time)
+        self.telemetry.phase(name, report.total_time,
+                             bytes=report.bytes_moved())
         self._annotate_cache()
 
     def _annotate_cache(self) -> None:
@@ -681,15 +668,16 @@ class DGCLSession:
         counts stores).  Best effort: a missing or foreign entry is
         simply skipped.
         """
+        telemetry = self.telemetry  # armed means all four sinks
+        records = telemetry.auditor.records if telemetry.armed else []
         if (
-            self.auditor is None
-            or self.plan_cache is None
+            self.plan_cache is None
             or self._cache_key is None
-            or len(self.auditor.records) <= self._audit_seen
+            or len(records) <= self._audit_seen
         ):
             return
-        record = self.auditor.records[-1]
-        self._audit_seen = len(self.auditor.records)
+        record = records[-1]
+        self._audit_seen = len(records)
         error = record.signed_error
         self.plan_cache.annotate(
             self._cache_key,
@@ -708,7 +696,7 @@ class DGCLSession:
         embedded cost-model audit.
         """
         self._check_open()
-        if self.recorder is None:
+        if not self.telemetry.armed:
             raise RuntimeError(
                 "call arm_telemetry() before profile(): the flight "
                 "recorder is what captures the collectives"
@@ -720,7 +708,7 @@ class DGCLSession:
         }
         info.update(meta or {})
         return RunProfile.from_recorder(
-            self.recorder, audit=self.auditor, meta=info
+            self.telemetry.recorder, audit=self.telemetry.auditor, meta=info
         )
 
     def local_graphs(self) -> List[LocalGraph]:
@@ -812,16 +800,13 @@ class DGCLSession:
             f"{len(before)}->{len(after)} devices via {plan_source} plan; "
             f"downtime {downtime * 1e6:.1f} us",
         )
-        if self.metrics is not None:
-            self.metrics.counter("elastic.transition", kind=action).inc()
-        if self.tracer is not None:
-            self.tracer.add_span(
-                action, "phase", TRAINER_TRACK, start,
-                self.simulated_comm_seconds,
-                devices=len(after), plan=plan_source,
-            )
-            if self.tracer.now < self.simulated_comm_seconds:
-                self.tracer.advance(self.simulated_comm_seconds - self.tracer.now)
+        self.telemetry.count("elastic.transition", kind=action)
+        self.telemetry.span(
+            action, "phase", TRAINER_TRACK, start,
+            self.simulated_comm_seconds,
+            devices=len(after), plan=plan_source,
+        )
+        self._catch_up_clock()
         report = TransitionReport(
             kind=kind,
             delta=tuple(delta),

@@ -16,10 +16,8 @@ Safety rules:
   every rejection is counted as an invalidation;
 * writes are atomic (temp file + rename), so a crashed writer can at
   worst leave a stale temp file, never a torn entry;
-* hit/miss/invalidation counters land both on the instance
-  (:attr:`PlanCache.stats`) and on the process-wide
-  :func:`repro.obs.metrics.global_metrics` registry under
-  ``autotune.plan_cache``.
+* hit/miss/invalidation counters land on the instance
+  (:attr:`PlanCache.stats`).
 
 Beyond the exact lookup, :meth:`PlanCache.find_sibling` retrieves an
 entry that matches on graph + config but differs in topology or
@@ -43,7 +41,6 @@ from typing import Dict, Optional, Union
 from repro.autotune.fingerprint import CacheKey
 from repro.core.plan import CommPlan
 from repro.core.serialize import plan_from_jsonable, plan_to_jsonable
-from repro.obs.metrics import global_metrics
 from repro.topology.topology import Topology
 
 __all__ = ["PlanCache", "PlanCacheError", "CacheStats"]
@@ -101,11 +98,8 @@ class PlanCache:
 
     # ------------------------------------------------------------------
     def _count(self, outcome: str) -> None:
-        """Bump an outcome counter locally and on the global registry."""
+        """Bump one :attr:`stats` outcome counter."""
         setattr(self.stats, outcome, getattr(self.stats, outcome) + 1)
-        global_metrics().counter(
-            "autotune.plan_cache", outcome=outcome.rstrip("s")
-        ).inc()
 
     def count_patch(self) -> None:
         """Record that a sibling entry was adopted via incremental

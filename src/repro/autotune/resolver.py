@@ -17,7 +17,7 @@ from repro.autotune.replan import incremental_replan, plan_cost
 from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation
 from repro.core.serialize import plan_to_jsonable
-from repro.obs.metrics import MetricsRegistry, global_metrics
+from repro.obs.telemetry import Telemetry
 from repro.topology.topology import Topology
 
 __all__ = ["PlanResolver", "Resolution"]
@@ -54,17 +54,16 @@ class PlanResolver:
     Every result that was not a cache hit is stored with its
     ``cost_units``.  Every resolution counts once on
     ``plan.resolve{source}`` and times itself on the
-    ``plan.resolve.seconds`` histogram, on the process-wide registry
-    and on ``metrics`` when given.
+    ``plan.resolve.seconds`` histogram of ``telemetry``'s metrics.
     """
 
     def __init__(
         self,
         cache: Optional[PlanCache] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        telemetry: Telemetry = Telemetry(),
     ) -> None:
         self.cache = cache
-        self.metrics = metrics
+        self.telemetry = telemetry
 
     def resolve(
         self,
@@ -116,9 +115,7 @@ class PlanResolver:
                 cost = plan_cost(resolution.plan)
                 cache.put(cache_key, resolution.plan,
                           meta=dict(meta or {}, cost_units=cost))
-        wall = time.perf_counter() - start
-        for registry in (global_metrics(), self.metrics):
-            if registry is not None:
-                registry.counter("plan.resolve", source=resolution.source).inc()
-                registry.histogram("plan.resolve.seconds").observe(wall)
+        self.telemetry.count("plan.resolve", source=resolution.source)
+        self.telemetry.observe("plan.resolve.seconds",
+                               time.perf_counter() - start)
         return resolution

@@ -38,7 +38,7 @@ from repro.baselines.strategies import Workload, evaluate_scheme
 from repro.core.plan import CommPlan
 from repro.graph.csr import Graph
 from repro.graph.datasets import DATASETS, DatasetSpec
-from repro.obs.metrics import global_metrics
+from repro.obs.telemetry import Telemetry
 from repro.topology.topology import Topology
 
 __all__ = ["AutoTuner", "TuneReport", "workload_spec"]
@@ -192,14 +192,14 @@ class AutoTuner:
         Explicit partition assignment.  When given, the partitioner
         dimension collapses (every candidate prices under this
         partition) — this is how a session with a user partition tunes.
-    auditor:
-        Optional :class:`~repro.obs.audit.CostModelAuditor`.  Armed, the
+    telemetry:
+        A :class:`~repro.obs.telemetry.Telemetry` handle.  Armed, the
         tuner's *full-fidelity* evaluations (the final rung — the
-        numbers the pick is made on) run through an audited executor, so
-        every tuning run contributes predicted-vs-actual records and the
-        ``autotune.audited`` counter; halving's cost-only short runs
-        stay memoised and unaudited.  The trial costs are unchanged
-        (asserted by the telemetry-neutrality tests).
+        numbers the pick is made on) record through it — with an
+        auditor, every tuning run contributes predicted-vs-actual
+        records; halving's cost-only short runs stay memoised and
+        unrecorded.  The trial costs are unchanged (asserted by the
+        telemetry-neutrality tests).
     """
 
     def __init__(
@@ -213,7 +213,7 @@ class AutoTuner:
         space: Optional[SearchSpace] = None,
         driver: Optional[SearchDriver] = None,
         assignment: Optional[np.ndarray] = None,
-        auditor=None,
+        telemetry: Telemetry = Telemetry(),
         spec: Optional[DatasetSpec] = None,
     ) -> None:
         self.graph = graph
@@ -222,7 +222,7 @@ class AutoTuner:
         self.num_layers = num_layers
         self.seed = seed
         self.assignment = assignment
-        self.auditor = auditor
+        self.telemetry = telemetry
         if spec is not None:
             self.dataset = spec.name
             self.spec = spec
@@ -280,19 +280,11 @@ class AutoTuner:
         """
         workload = self._workload(candidate, fidelity)
         pricing = "cost" if fidelity < 1.0 else "event"
-        auditor = self.auditor if pricing == "event" else None
         result = evaluate_scheme(
             workload, scheme=candidate.strategy, method=candidate.method,
             fidelity=pricing, staleness=candidate.staleness,
-            auditor=auditor,
+            telemetry=self.telemetry if pricing == "event" else Telemetry(),
         )
-        global_metrics().counter(
-            "autotune.evaluations", strategy=candidate.strategy
-        ).inc()
-        if auditor is not None:
-            global_metrics().counter(
-                "autotune.audited", strategy=candidate.strategy
-            ).inc()
         return Trial(candidate=candidate, result=result, fidelity=fidelity,
                      pricing=pricing)
 

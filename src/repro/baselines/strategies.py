@@ -40,8 +40,8 @@ from repro.core.spst import SPSTPlanner
 from repro.graph.csr import Graph
 from repro.graph.datasets import DatasetSpec, _dataset_spec, load_dataset
 from repro.gnn.models import GNNModel, build_model
-from repro.obs.metrics import MetricsRegistry, global_metrics
-from repro.obs.tracer import TRAINER_TRACK, Tracer
+from repro.obs.telemetry import Telemetry
+from repro.obs.tracer import TRAINER_TRACK
 from repro.partition.hierarchical import hierarchical_partition, partition_tree
 from repro.partition.replication import replication_closure
 from repro.simulator.compute import (
@@ -77,13 +77,9 @@ def clear_caches() -> None:
 
 
 def _memoised(cache: str, key: tuple, build: Callable[[], _T]) -> _T:
-    """Get-or-build one memo entry, counting the lookup in ``cache.lookups``."""
+    """Get-or-build one memo entry; ``cache`` names the artefact kind."""
     key = (cache,) + key
-    hit = key in _MEMO
-    global_metrics().counter(
-        "cache.lookups", cache=cache, outcome="hit" if hit else "miss"
-    ).inc()
-    if not hit:
+    if key not in _MEMO:
         _MEMO[key] = build()
     return _MEMO[key]
 
@@ -316,20 +312,16 @@ def _planned_comm_time(
     the feature boundary needs no per-epoch allgather.
     """
     executor = executor or PlanExecutor(workload.topology)
-    tracer = executor.tracer
+    telemetry = executor.telemetry
     boundaries = workload.boundary_bytes()
     first = 1 if cache_features else 0
     forward = 0.0
     for li, bpu in enumerate(boundaries[first:], start=first):
-        t0 = tracer.now if tracer is not None else 0.0
         report = executor.execute(plan, bpu, fidelity=fidelity,
                                   label=f"allgather L{li}")
         forward += report.total_time
-        if tracer is not None:
-            tracer.add_span(f"allgather L{li}", "phase", TRAINER_TRACK,
-                            t0, t0 + report.total_time,
-                            bytes=report.bytes_moved())
-            tracer.advance(report.total_time)
+        telemetry.phase(f"allgather L{li}", report.total_time,
+                        bytes=report.bytes_moved())
     backward = 0.0
     backward_tuples = plan.backward_tuples()
     model = workload.compute_model
@@ -343,18 +335,16 @@ def _planned_comm_time(
              for b in received.values()),
             default=0.0,
         )
-        t0 = tracer.now if tracer is not None else 0.0
+        t0 = telemetry.now
         report = executor.execute_backward(
             backward_tuples, bpu, atomic=not nonatomic, fidelity=fidelity,
             label=f"scatter L{li}",
         )
         transfer = report.total_time
-        if tracer is not None:
-            tracer.add_span(f"scatter L{li}", "phase", TRAINER_TRACK,
-                            t0, t0 + transfer + reduce_time,
-                            bytes=report.bytes_moved(),
-                            reduce_seconds=reduce_time)
-            tracer.advance(transfer + reduce_time)
+        telemetry.span(f"scatter L{li}", "phase", TRAINER_TRACK,
+                       t0, t0 + transfer + reduce_time,
+                       bytes=report.bytes_moved(), reduce_seconds=reduce_time)
+        telemetry.advance(transfer + reduce_time)
         backward += transfer + reduce_time
     return {"forward": forward, "backward": backward,
             "total": forward + backward}
@@ -363,12 +353,9 @@ def _planned_comm_time(
 def _evaluate_partitioned(
     workload: Workload, scheme: str, plan: CommPlan, nonatomic: bool,
     cache_features: bool = False,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    telemetry: Telemetry = Telemetry(),
     methods: Optional["MethodTable"] = None,
     fidelity: str = "event",
-    auditor=None,
-    recorder=None,
 ) -> SchemeResult:
     try:
         workload.check_partition_memory(cache_features=cache_features)
@@ -380,12 +367,8 @@ def _evaluate_partitioned(
             scheme, status="ok", epoch_time=compute, comm_time=0.0,
             compute_time=compute,
         )
-    executor = None
-    if (tracer is not None or metrics is not None or methods is not None
-            or auditor is not None or recorder is not None):
-        executor = PlanExecutor(workload.topology, tracer=tracer,
-                                metrics=metrics, methods=methods,
-                                auditor=auditor, recorder=recorder)
+    executor = PlanExecutor(workload.topology, methods=methods,
+                            telemetry=telemetry)
     comm = _planned_comm_time(workload, plan, nonatomic=nonatomic,
                               cache_features=cache_features,
                               executor=executor, fidelity=fidelity)
@@ -402,9 +385,7 @@ def _evaluate_partitioned(
 
 
 def _evaluate_swap(
-    workload: Workload,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    workload: Workload, telemetry: Telemetry = Telemetry(),
 ) -> SchemeResult:
     if workload.topology.num_machines() > 1:
         # NeuGraph's swap is a single-machine design (§7: "as Swap is
@@ -414,20 +395,14 @@ def _evaluate_swap(
     if workload.num_devices == 1:
         return workload.result("swap", status="ok", epoch_time=compute,
                                comm_time=0.0, compute_time=compute)
-    executor = SwapExecutor(workload.topology, tracer=tracer,
-                            metrics=metrics)
+    executor = SwapExecutor(workload.topology, telemetry=telemetry)
     boundaries = workload.boundary_bytes()
 
     def _swap_round(name: str, bpu: float, dump) -> float:
-        t0 = tracer.now if tracer is not None else 0.0
         report = executor.execute(
             workload.relation, bpu, dump_bytes_per_unit=dump
         )
-        if tracer is not None:
-            tracer.add_span(name, "phase", TRAINER_TRACK, t0,
-                            t0 + report.total_time,
-                            bytes=report.bytes_moved())
-            tracer.advance(report.total_time)
+        telemetry.phase(name, report.total_time, bytes=report.bytes_moved())
         return report.total_time
 
     # Boundary 0 reads input features already resident in host memory
@@ -508,13 +483,10 @@ def evaluate_scheme(
     workload: Workload,
     *,
     scheme: str,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    telemetry: Telemetry = Telemetry(),
     method: Optional[object] = None,
     fidelity: str = "event",
     staleness: int = 0,
-    auditor=None,
-    recorder=None,
 ) -> SchemeResult:
     """Run one scheme on one workload; never raises on OOM.
 
@@ -523,14 +495,11 @@ def evaluate_scheme(
     ``spst``/``p2p`` work), and each spec's ``cost_fn`` does the
     pricing — unknown names raise
     :class:`~repro.errors.UnknownSchemeError` listing every registered
-    scheme.  With a ``tracer``/``metrics`` sink the priced collectives
-    also emit per-flow spans and counters; the returned numbers are
-    unchanged.  ``auditor`` (a
-    :class:`~repro.obs.audit.CostModelAuditor`) and ``recorder`` (a
-    :class:`~repro.obs.profile.FlightRecorder`) hang the same way off
-    the plan-based schemes' executor and collect predicted-vs-actual
-    audits and flight-recorder reports, again without changing any
-    returned number.
+    scheme.  An armed ``telemetry`` handle
+    (:class:`~repro.obs.telemetry.Telemetry`) records the priced
+    collectives: per-flow spans and counters, and on the plan-based
+    schemes' executor predicted-vs-actual audits and flight-recorder
+    reports; the returned numbers are unchanged.
 
     ``method`` forces one §6.2 transfer mechanism (a
     :class:`~repro.comm.methods.CommMethod` or its string value) on
@@ -570,12 +539,10 @@ def evaluate_scheme(
             methods = MethodTable(workload.topology, force=forced)
         return spec.cost_fn(workload, EvalContext(
             fidelity=fidelity, staleness=staleness, methods=methods,
-            tracer=tracer, metrics=metrics, auditor=auditor,
-            recorder=recorder,
+            telemetry=telemetry,
         ))
 
-    if (tracer is not None or metrics is not None or auditor is not None
-            or recorder is not None):
+    if telemetry.armed:
         return price()
     memo_key = workload._plan_key + (
         workload.model_name, tuple(workload.model.layer_dims),

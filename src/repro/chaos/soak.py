@@ -56,6 +56,7 @@ from repro.faults.policy import (
 from repro.faults.spec import FaultPlan
 from repro.graph.generators import rmat
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import Tracer
 from repro.partition import partition
 from repro.runtime.flags import FlagBoard
@@ -329,16 +330,14 @@ class SoakRunner:
     def _execute(self, plan: FaultPlan) -> RunObservation:
         """One hardened run of ``plan``; never raises."""
         injector = FaultInjector(plan, log=FaultLog())
-        tracer = Tracer()
-        metrics = MetricsRegistry()
+        telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
         runner = ProtocolRunner(
             self.relation,
             self.plan,
             coordination=self.config.coordination,
             injector=injector,
             policy=self._policy(),
-            tracer=tracer,
-            metrics=metrics,
+            telemetry=telemetry,
         )
         saved_dedupe = FlagBoard.dedupe
         FlagBoard.dedupe = self.config.dedupe_flags
@@ -363,8 +362,8 @@ class SoakRunner:
             device_finish=dict(report.device_finish) if report else {},
             stage_finish=dict(report.stage_finish) if report else {},
             log_signature=injector.log.signature(),
-            trace_signature=tracer.signature(),
-            metrics=metrics.snapshot(),
+            trace_signature=telemetry.tracer.signature(),
+            metrics=telemetry.metrics.snapshot(),
             error=error,
             error_detail=detail,
         )

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.topology.topology import Link, Topology
+from repro.topology.topology import Topology
 
 __all__ = ["CommMethod", "MethodProfile", "select_method", "method_profile",
            "MethodTable"]
@@ -154,10 +154,6 @@ class MethodTable:
     def profile(self, src: int, dst: int) -> MethodProfile:
         """Cost profile assigned to the (src, dst) pair."""
         return self._profiles[(src, dst)]
-
-    def profile_for_link(self, link: Link) -> MethodProfile:
-        """Cost profile for a link's endpoint pair."""
-        return self._profiles[(link.src, link.dst)]
 
     def summary(self) -> Dict[CommMethod, int]:
         """Count of pairs per assigned mechanism."""

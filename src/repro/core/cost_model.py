@@ -149,11 +149,6 @@ class StagedCostModel:
         """Plan cost in seconds for a given payload width."""
         return self.total_cost() * bytes_per_unit
 
-    def connection_traffic(self, stage: int) -> Dict[str, float]:
-        """Units committed per physical connection in one stage."""
-        self._check_stage(stage)
-        return dict(self._traffic[stage])
-
     def busiest_connection(self, stage: int) -> Optional[Tuple[str, float]]:
         """The stage's bottleneck: (connection name, time in unit-seconds)."""
         self._check_stage(stage)

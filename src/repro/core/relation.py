@@ -57,10 +57,6 @@ class LocalGraph:
     num_local: int
     num_remote: int
 
-    def global_to_local(self) -> Dict[int, int]:
-        """Dict mapping global vertex id to this device's row."""
-        return {int(g): i for i, g in enumerate(self.global_ids)}
-
     def local_rows(self, global_vertices: np.ndarray) -> np.ndarray:
         """Rows of ``global_vertices`` in this device's embedding layout."""
         idx = np.searchsorted(self.global_ids[: self.num_local], global_vertices)
@@ -196,12 +192,6 @@ class CommRelation:
     def total_volume_vertices(self) -> int:
         """Total multicast payload counting each (vertex, destination)."""
         return int(sum(v.size for v in self._send.values()))
-
-    def peer_to_peer_volume(self, device: int) -> int:
-        """Vertices ``device`` sends plus receives under peer-to-peer."""
-        sent = sum(v.size for (i, _), v in self._send.items() if i == device)
-        recv = self.remote_vertices[device].size
-        return int(sent + recv)
 
     # ------------------------------------------------------------------
     def local_graph(self, device: int) -> LocalGraph:

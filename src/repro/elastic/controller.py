@@ -26,8 +26,8 @@ the same moves in a controlled order, with nothing lost:
 The whole handoff lands on the simulated clock as a measured
 *downtime* window, recorded as a ``scale-out`` / ``scale-in``
 intervention in the :class:`~repro.faults.log.FaultLog` (so Gantt
-charts mark it next to the faults) and counted in :mod:`repro.obs`
-metrics.  Because the controller *is* a ResilientTrainer, elastic
+charts mark it next to the faults) and, armed, spanned on the trainer
+track.  Because the controller *is* a ResilientTrainer, elastic
 transitions compose with chaos: faults can land before, during and
 after a handoff and the usual retry/repair/degrade ladder still runs.
 """
@@ -45,7 +45,6 @@ from repro.core.spst import SPSTPlanner
 from repro.errors import ElasticSpecError
 from repro.gnn.checkpoint import snapshot
 from repro.gnn.resilient import FaultRecoveryReport, ResilientTrainer
-from repro.obs.metrics import global_metrics
 from repro.obs.tracer import TRAINER_TRACK
 from repro.runtime.protocol import DEFAULT_CONTROL_LATENCY
 from repro.topology.topology import Topology
@@ -281,12 +280,10 @@ class ElasticController(ResilientTrainer):
             f"{len(before)}->{len(after)} devices via {self.plan_source} "
             f"plan; downtime {(self.clock - start) * 1e6:.1f} us",
         )
-        global_metrics().counter("elastic.transition", kind=action).inc()
-        if self.tracer is not None:
-            self.tracer.add_span(
-                action, "phase", TRAINER_TRACK, start, self.clock,
-                devices=len(after), plan=self.plan_source,
-            )
+        self.telemetry.span(
+            action, "phase", TRAINER_TRACK, start, self.clock,
+            devices=len(after), plan=self.plan_source,
+        )
         report = TransitionReport(
             kind=kind,
             delta=tuple(delta),

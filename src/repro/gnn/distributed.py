@@ -34,8 +34,8 @@ from repro.gnn.functional import softmax_cross_entropy
 from repro.gnn.layers import GraphContext
 from repro.gnn.models import GNNModel, SGD
 from repro.gnn.training import EpochResult, check_training_inputs
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import TRAINER_TRACK, Tracer, device_track
+from repro.obs.telemetry import Telemetry
+from repro.obs.tracer import TRAINER_TRACK, device_track
 
 __all__ = ["DistributedTrainer", "data_parallel_pass", "device_contexts"]
 
@@ -129,8 +129,7 @@ class DistributedTrainer:
         labels: np.ndarray,
         lr: float = 0.01,
         optimizer=None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        telemetry: Telemetry = Telemetry(),
     ) -> None:
         check_training_inputs(model, features, labels,
                               relation.graph.num_vertices)
@@ -154,18 +153,17 @@ class DistributedTrainer:
         #: does — collectives on the flow simulator, kernels on the
         #: compute model — and laid out on the tracer's phase clock
         #: after each pass.  Numerics never depend on the tracer.
-        self.tracer = tracer
-        self.metrics = metrics
+        self.telemetry = telemetry
         self._price_executor = None
         self._compute_model = None
         self._sync_seconds = 0.0
-        if tracer is not None or metrics is not None:
+        if telemetry.armed:
             from repro.comm.collectives import ring_allreduce_time
             from repro.simulator.compute import ComputeModel
             from repro.simulator.executor import PlanExecutor
 
             self._price_executor = PlanExecutor(
-                plan.topology, tracer=tracer, metrics=metrics
+                plan.topology, telemetry=telemetry
             )
             self._compute_model = ComputeModel()
             if self.num_devices >= 2:
@@ -174,19 +172,14 @@ class DistributedTrainer:
                 )
 
     # ------------------------------------------------------------------
-    # Telemetry pricing (only when a tracer/metrics sink is set)
+    # Telemetry pricing (only when the telemetry handle is armed)
     def _trace_comm(self, name: str, dim: int, backward: bool) -> None:
         """Price one collective and lay its spans on the phase clock."""
-        tracer = self.tracer
-        t0 = tracer.now if tracer is not None else 0.0
         report = self._price_executor.execute(
             self.plan, dim * BYTES_PER_FLOAT, backward=backward
         )
-        if tracer is not None:
-            tracer.add_span(name, "phase", TRAINER_TRACK, t0,
-                            t0 + report.total_time,
-                            bytes=report.bytes_moved())
-            tracer.advance(report.total_time)
+        self.telemetry.phase(name, report.total_time,
+                             bytes=report.bytes_moved())
 
     def _trace_compute(self, name: str, layer, backward: bool) -> None:
         """Price one layer's kernels; one span per device, max advances."""
@@ -197,17 +190,13 @@ class DistributedTrainer:
                 cost = cost.scaled(2.0)
             durations.append(self._compute_model.seconds(cost))
         worst = max(durations, default=0.0)
-        tracer = self.tracer
-        if tracer is not None:
-            t0 = tracer.now
-            for d, dur in enumerate(durations):
-                tracer.add_span(name, "compute", device_track(d), t0, t0 + dur)
-            tracer.add_span(name, "phase", TRAINER_TRACK, t0, t0 + worst)
-            tracer.advance(worst)
-        if self.metrics is not None and durations:
-            self.metrics.histogram("compute.straggler_gap").observe(
-                worst - min(durations)
-            )
+        telemetry = self.telemetry
+        t0 = telemetry.now
+        for d, dur in enumerate(durations):
+            telemetry.span(name, "compute", device_track(d), t0, t0 + dur)
+        telemetry.phase(name, worst)
+        if durations:
+            telemetry.observe("compute.straggler_gap", worst - min(durations))
 
     def _trace_epoch(self, loss: float, update: bool) -> None:
         """Lay one finished pass's phases on the phase clock, in pass order.
@@ -216,8 +205,8 @@ class DistributedTrainer:
         layer in reverse (layer 0 has no scatter), then the optimizer
         allreduce and the epoch span.
         """
-        tracer = self.tracer
-        start = tracer.now if tracer is not None else 0.0
+        telemetry = self.telemetry
+        start = telemetry.now
         dims = self.model.layer_dims
         for li, layer in enumerate(self.model.layers):
             self._trace_comm(f"allgather L{li}", dims[li], backward=False)
@@ -227,19 +216,14 @@ class DistributedTrainer:
                                 backward=True)
             if li > 0:
                 self._trace_comm(f"scatter L{li}", dims[li], backward=True)
-        if tracer is None:
-            return
+        if telemetry.tracer is None:
+            return  # the epoch's length is read off the tracer's clock
         if update:
-            t0 = tracer.now
-            tracer.add_span(
-                "optimizer.allreduce", "phase", TRAINER_TRACK, t0,
-                t0 + self._sync_seconds, bytes=self.model.state_bytes(),
-            )
-            tracer.advance(self._sync_seconds)
-        tracer.add_span(f"epoch {len(self.loss_history)}", "epoch",
-                        TRAINER_TRACK, start, tracer.now, loss=float(loss))
-        if self.metrics is not None:
-            self.metrics.histogram("epoch.seconds").observe(tracer.now - start)
+            telemetry.phase("optimizer.allreduce", self._sync_seconds,
+                            bytes=self.model.state_bytes())
+        telemetry.span(f"epoch {len(self.loss_history)}", "epoch",
+                       TRAINER_TRACK, start, telemetry.now, loss=float(loss))
+        telemetry.observe("epoch.seconds", telemetry.now - start)
 
     # ------------------------------------------------------------------
     def run_epoch(self, update: bool = True) -> EpochResult:

@@ -47,7 +47,8 @@ from repro.gnn.distributed import DistributedTrainer
 from repro.gnn.models import GNNModel, SGD
 from repro.gnn.training import EpochResult
 from repro.obs import console
-from repro.obs.tracer import TRAINER_TRACK, Tracer
+from repro.obs.telemetry import Telemetry
+from repro.obs.tracer import TRAINER_TRACK
 from repro.partition.hierarchical import hierarchical_partition
 from repro.runtime.bootstrap import simulate_bootstrap
 from repro.runtime.protocol import DEFAULT_CONTROL_LATENCY
@@ -134,7 +135,7 @@ class ResilientTrainer:
         seed: int = 0,
         alpha: float = DEFAULT_ALPHA,
         bytes_per_float: int = 4,
-        tracer: Optional[Tracer] = None,
+        telemetry: Telemetry = Telemetry(),
         oracle_hook=None,
     ) -> None:
         if checkpoint_every < 1:
@@ -153,7 +154,7 @@ class ResilientTrainer:
         self.alpha = alpha
         self.bytes_per_float = bytes_per_float
         #: Optional telemetry: recovery-lifecycle spans on self.clock.
-        self.tracer = tracer
+        self.telemetry = telemetry
         #: Optional chaos-oracle callback ``(epoch, loss, clock)`` fired
         #: after every *executed* epoch (so a soak can assert invariants
         #: mid-run, e.g. gradient parity or clock monotonicity, instead
@@ -182,11 +183,10 @@ class ResilientTrainer:
         self._fault_free_epoch_seconds = self._comm_seconds(capacity_fn=None)
         self._initial_bootstrap_seconds = self._bootstrap_seconds()
         self.clock += self._initial_bootstrap_seconds
-        if self.tracer is not None:
-            self.tracer.add_span(
-                "bootstrap", "phase", TRAINER_TRACK, 0.0, self.clock,
-                devices=len(self.devices),
-            )
+        self.telemetry.span(
+            "bootstrap", "phase", TRAINER_TRACK, 0.0, self.clock,
+            devices=len(self.devices),
+        )
         self._checkpoint: Checkpoint = snapshot(
             self.model, self.optimizer, epoch=0, loss_history=[]
         )
@@ -444,11 +444,10 @@ class ResilientTrainer:
             f"epoch {self.epoch}",
             f"restored checkpoint, re-running {rolled_back} epoch(s)",
         )
-        if self.tracer is not None:
-            self.tracer.add_span(
-                "rollback", "fault", TRAINER_TRACK, rollback_start,
-                self.clock, epoch=self.epoch, rolled_back=rolled_back,
-            )
+        self.telemetry.span(
+            "rollback", "fault", TRAINER_TRACK, rollback_start,
+            self.clock, epoch=self.epoch, rolled_back=rolled_back,
+        )
         console.info(
             "rolled back to epoch %d after losing device(s) %s",
             self.epoch, sorted(crashed),
@@ -466,11 +465,10 @@ class ResilientTrainer:
             f"{len(self.devices)} survivors",
             f"repartitioned after losing device(s) {sorted(crashed)}",
         )
-        if self.tracer is not None:
-            self.tracer.add_span(
-                "repartition", "fault", TRAINER_TRACK, repartition_start,
-                self.clock, survivors=len(self.devices),
-            )
+        self.telemetry.span(
+            "repartition", "fault", TRAINER_TRACK, repartition_start,
+            self.clock, survivors=len(self.devices),
+        )
         console.info("repartitioned over %d survivors", len(self.devices))
 
     # ------------------------------------------------------------------
@@ -522,11 +520,10 @@ class ResilientTrainer:
             epoch_seconds.append(self.clock - epoch_start)
             if self.oracle_hook is not None:
                 self.oracle_hook(self.epoch - 1, float(result.loss), self.clock)
-            if self.tracer is not None:
-                self.tracer.add_span(
-                    f"epoch {self.epoch - 1}", "epoch", TRAINER_TRACK,
-                    epoch_start, self.clock, loss=float(result.loss),
-                )
+            self.telemetry.span(
+                f"epoch {self.epoch - 1}", "epoch", TRAINER_TRACK,
+                epoch_start, self.clock, loss=float(result.loss),
+            )
             console.debug(
                 "epoch %d: %.3f ms simulated", self.epoch - 1,
                 (self.clock - epoch_start) * 1e3,
@@ -540,12 +537,11 @@ class ResilientTrainer:
                 self.checkpoints_taken += 1
                 ckpt_start = self.clock
                 self.clock += self._checkpoint_seconds(self._checkpoint.nbytes())
-                if self.tracer is not None:
-                    self.tracer.add_span(
-                        "checkpoint", "phase", TRAINER_TRACK, ckpt_start,
-                        self.clock, epoch=self.epoch,
-                        bytes=self._checkpoint.nbytes(),
-                    )
+                self.telemetry.span(
+                    "checkpoint", "phase", TRAINER_TRACK, ckpt_start,
+                    self.clock, epoch=self.epoch,
+                    bytes=self._checkpoint.nbytes(),
+                )
                 if self.injector.is_armed:
                     self.log.append(
                         self.clock,

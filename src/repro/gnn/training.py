@@ -17,7 +17,8 @@ from repro.gnn.functional import softmax_cross_entropy
 from repro.gnn.layers import GraphContext
 from repro.gnn.models import GNNModel, SGD
 from repro.graph.csr import Graph
-from repro.obs.tracer import Tracer, device_track
+from repro.obs.telemetry import Telemetry
+from repro.obs.tracer import device_track
 
 __all__ = ["EpochResult", "SingleDeviceTrainer", "check_training_inputs"]
 
@@ -67,7 +68,7 @@ class SingleDeviceTrainer:
         labels: np.ndarray,
         lr: float = 0.01,
         optimizer=None,
-        tracer: Optional[Tracer] = None,
+        telemetry: Telemetry = Telemetry(),
     ) -> None:
         check_training_inputs(model, features, labels, graph.num_vertices)
         self.graph = graph
@@ -79,47 +80,42 @@ class SingleDeviceTrainer:
         self.loss_history: List[float] = []
         #: Optional telemetry: phase spans priced by the compute model
         #: on a private simulated clock (numerics are untouched).
-        self.tracer = tracer
+        self.telemetry = telemetry
         self.sim_clock = 0.0
         self._compute_model = None
-        if tracer is not None:
+        if telemetry.armed:
             from repro.simulator.compute import ComputeModel
 
             self._compute_model = ComputeModel()
 
-    def _phase_seconds(self, backward: bool) -> float:
-        """Simulated compute cost of one forward (or backward) pass."""
+    def _trace_phase(self, name: str, epoch: int) -> None:
+        """Price one forward (or backward) pass and span it on the
+        private clock; skipped when the telemetry handle is disarmed."""
+        if not self.telemetry.armed:
+            return
         n, e = self.graph.num_vertices, self.graph.num_edges
-        total = 0.0
+        seconds = 0.0
         for layer in self.model.layers:
             cost = layer.compute_cost(n, n, e)
-            if backward:
+            if name == "backward":
                 cost = cost.scaled(2.0)
-            total += self._compute_model.seconds(cost)
-        return total
+            seconds += self._compute_model.seconds(cost)
+        self.telemetry.span(name, "phase", device_track(0), self.sim_clock,
+                            self.sim_clock + seconds, epoch=epoch)
+        self.sim_clock += seconds
 
     def run_epoch(self, update: bool = True) -> EpochResult:
         """One forward + backward pass over every vertex."""
-        tracer = self.tracer
         epoch = len(self.loss_history)
         logits, caches = self.model.forward(self.ctx, self.features)
-        if tracer is not None:
-            fwd = self._phase_seconds(backward=False)
-            tracer.add_span("forward", "phase", device_track(0),
-                            self.sim_clock, self.sim_clock + fwd, epoch=epoch)
-            self.sim_clock += fwd
+        self._trace_phase("forward", epoch)
         loss, grad_logits = softmax_cross_entropy(logits, self.labels)
         feature_grad, grads = self.model.backward(self.ctx, caches, grad_logits)
-        if tracer is not None:
-            bwd = self._phase_seconds(backward=True)
-            tracer.add_span("backward", "phase", device_track(0),
-                            self.sim_clock, self.sim_clock + bwd, epoch=epoch)
-            self.sim_clock += bwd
+        self._trace_phase("backward", epoch)
         if update:
             self.optimizer.step(grads)
-            if tracer is not None:
-                tracer.instant("optimizer.step", "phase", device_track(0),
-                               self.sim_clock, epoch=epoch)
+            self.telemetry.span("optimizer.step", "phase", device_track(0),
+                                self.sim_clock, self.sim_clock, epoch=epoch)
         self.loss_history.append(loss)
         return EpochResult(loss=loss, logits=logits, feature_grad=feature_grad)
 

@@ -3,9 +3,13 @@
 ``repro.obs`` is the measurement layer the evaluation chapters lean on:
 every span and every metric is driven by the *simulated* clock, so
 telemetry is deterministic (same seed, byte-identical trace) and free
-when unarmed (no tracer attached means the hot paths run the exact
-code they always did).
+when unarmed (a disarmed handle means the hot paths run the exact
+code they always did).  No sink lives at module scope: every registry,
+tracer, auditor and recorder belongs to the run that created it.
 
+* :class:`~repro.obs.telemetry.Telemetry` — the one handle components
+  take (``telemetry=``) and a session owns: the four sinks below, each
+  optional; ``Telemetry()`` holds none and records nothing;
 * :class:`~repro.obs.tracer.Tracer` — span collection per device,
   per physical connection, per trainer phase;
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
@@ -45,7 +49,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    global_metrics,
 )
 from repro.obs.profile import (
     ConnectionProfile,
@@ -64,6 +67,7 @@ from repro.obs.report import (
     render_profile,
     write_profile,
 )
+from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import (
     Span,
     Tracer,
@@ -74,6 +78,7 @@ from repro.obs.tracer import (
 
 __all__ = [
     "console",
+    "Telemetry",
     "Span",
     "Tracer",
     "TRAINER_TRACK",
@@ -83,7 +88,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "global_metrics",
     "QuantileDigest",
     "CostModelAuditor",
     "AuditRecord",

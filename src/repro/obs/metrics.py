@@ -22,8 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.quantile import QuantileDigest
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "global_metrics"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 
 class Counter:
@@ -167,7 +166,7 @@ class MetricsRegistry:
         return out
 
     def clear(self) -> None:
-        """Drop every metric (tests re-use the global registry)."""
+        """Drop every metric."""
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
@@ -181,12 +180,3 @@ class MetricsRegistry:
             f"gauges={len(self._gauges)}, histograms={len(self._histograms)})"
         )
 
-
-#: Process-wide registry for cross-cutting metrics (cache hit rates)
-#: that have no session to live on.  Tests reset it via clear().
-_GLOBAL = MetricsRegistry()
-
-
-def global_metrics() -> MetricsRegistry:
-    """The process-wide registry (cache hit rates etc.)."""
-    return _GLOBAL

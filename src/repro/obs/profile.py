@@ -219,14 +219,6 @@ class CriticalHop:
             "payload_bytes": self.payload_bytes,
         }
 
-    def describe(self) -> str:
-        """One-line rendering, e.g. ``s1 3->5 via qpi:m0:0->1``."""
-        return (
-            f"s{self.stage} {self.src}->{self.dst} via {self.connection}  "
-            f"[{self.start * 1e6:.3f} .. {self.finish * 1e6:.3f} us]  "
-            f"{self.payload_bytes:.0f} B"
-        )
-
 
 def _union_seconds(intervals: List[Tuple[float, float]]) -> float:
     """Total length of the union of (start, finish) intervals."""

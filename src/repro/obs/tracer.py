@@ -92,11 +92,6 @@ class Tracer:
         self.spans.append(span)
         return span
 
-    def instant(self, name: str, cat: str, track: str, time: float,
-                **args: object) -> Span:
-        """Record a zero-duration mark (e.g. a fault-log record)."""
-        return self.add_span(name, cat, track, time, time, **args)
-
     @contextmanager
     def span(
         self,

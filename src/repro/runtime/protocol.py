@@ -66,8 +66,8 @@ from repro.faults.policy import (
     UnrecoverableFaultError,
 )
 from repro.faults.repair import alternate_path
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, connection_track, device_track
+from repro.obs.telemetry import Telemetry
+from repro.obs.tracer import connection_track, device_track
 from repro.runtime.events import (
     AllOf,
     AnyOf,
@@ -113,8 +113,7 @@ class ProtocolRunner:
         device_delays: Optional[Dict[int, float]] = None,
         injector=None,
         policy: Optional[RecoveryPolicy] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        telemetry: Telemetry = Telemetry(),
     ) -> None:
         if coordination not in ("decentralized", "centralized"):
             raise ValueError("coordination must be decentralized or centralized")
@@ -143,8 +142,7 @@ class ProtocolRunner:
         #: Telemetry sinks.  Recording is purely observational — spans
         #: never yield into the simulator, so armed tracing leaves the
         #: event schedule (and therefore all timings) untouched.
-        self.tracer = tracer
-        self.metrics = metrics
+        self.telemetry = telemetry
         # Fault-hook tunables (simulated seconds).
         self.flag_timeout = control_latency * 20
         self.flag_timeout_cap = self.flag_timeout * 64
@@ -214,8 +212,8 @@ class ProtocolRunner:
         flags = FlagBoard(sim, flag_latency=self.flag_latency, injector=injector)
         buffers = self._maps.make_buffers(list(local_embeddings))
         report = ProtocolReport(total_time=0.0)
-        tracer, metrics = self.tracer, self.metrics
-        base = tracer.now if tracer is not None else 0.0
+        telemetry = self.telemetry
+        base = telemetry.now
         if armed:
             injector.arm(sim, network=network)
 
@@ -356,8 +354,7 @@ class ProtocolRunner:
                     continue
                 if verdict == "dropped":
                     attempt += 1
-                    if metrics is not None:
-                        metrics.counter("fault.flag_refetches").inc()
+                    telemetry.count("fault.flag_refetches")
                     log.append(
                         sim.now,
                         "control",
@@ -398,21 +395,17 @@ class ProtocolRunner:
                         WaitEvent(handle.done), Timeout(self.stall_check), crash
                     )
                     if not winner:
-                        if tracer is not None:
-                            for conn in path:
-                                tracer.add_span(
-                                    f"{t.src}->{t.dst} s{t.stage}", "comm",
-                                    connection_track(conn.name),
-                                    base + attempt_start, base + sim.now,
-                                    bytes=size, src=t.src, dst=t.dst,
-                                    stage=t.stage, attempt=attempt,
-                                )
-                        if metrics is not None:
-                            for conn in path:
-                                metrics.counter(
-                                    "comm.bytes", conn=conn.name
-                                ).inc(size)
-                            metrics.counter("comm.flows").inc()
+                        for conn in path:
+                            telemetry.span(
+                                f"{t.src}->{t.dst} s{t.stage}", "comm",
+                                connection_track(conn.name),
+                                base + attempt_start, base + sim.now,
+                                bytes=size, src=t.src, dst=t.dst,
+                                stage=t.stage, attempt=attempt,
+                            )
+                            telemetry.count("comm.bytes", size,
+                                            conn=conn.name)
+                        telemetry.count("comm.flows")
                         return True
                     if winner == 2:
                         network.cancel(handle)
@@ -426,8 +419,7 @@ class ProtocolRunner:
                         stalled = stalls >= self.stall_checks_limit
                 network.cancel(handle)
                 attempt += 1
-                if metrics is not None:
-                    metrics.counter("fault.transfer_retries").inc()
+                telemetry.count("fault.transfer_retries")
                 log.append(
                     sim.now,
                     "link",
@@ -507,16 +499,12 @@ class ProtocolRunner:
             )
             if not ok:
                 return
-            if tracer is not None:
-                tracer.add_span(
-                    f"wait ready[{t.dst},s{t.stage}]", "flag",
-                    device_track(device), base + wait_start, base + sim.now,
-                    peer=t.dst,
-                )
-            if metrics is not None:
-                metrics.histogram("flag.wait_seconds").observe(
-                    sim.now - wait_start
-                )
+            telemetry.span(
+                f"wait ready[{t.dst},s{t.stage}]", "flag",
+                device_track(device), base + wait_start, base + sim.now,
+                peer=t.dst,
+            )
+            telemetry.observe("flag.wait_seconds", sim.now - wait_start)
             size = t.units * self._bytes_per_unit
             ok = yield from run_transfer(t, size, idx, crash, subject)
             if not ok:
@@ -542,16 +530,12 @@ class ProtocolRunner:
             )
             if not ok:
                 return
-            if tracer is not None:
-                tracer.add_span(
-                    f"wait done[{t.src}->{t.dst},s{t.stage}]", "flag",
-                    device_track(device), base + wait_start, base + sim.now,
-                    peer=t.src,
-                )
-            if metrics is not None:
-                metrics.histogram("flag.wait_seconds").observe(
-                    sim.now - wait_start
-                )
+            telemetry.span(
+                f"wait done[{t.src}->{t.dst},s{t.stage}]", "flag",
+                device_track(device), base + wait_start, base + sim.now,
+                peer=t.src,
+            )
+            telemetry.observe("flag.wait_seconds", sim.now - wait_start)
             done_event.trigger()
 
         def client(device: int):
@@ -594,11 +578,10 @@ class ProtocolRunner:
                     if winner:
                         return
                 report.stage_finish[(device, k)] = sim.now
-                if tracer is not None:
-                    tracer.add_span(
-                        f"stage {k}", "stage", device_track(device),
-                        base + stage_start, base + sim.now,
-                    )
+                telemetry.span(
+                    f"stage {k}", "stage", device_track(device),
+                    base + stage_start, base + sim.now,
+                )
                 if self.coordination == "centralized":
                     counter = stage_done_count[k]
                     counter["left"] -= 1

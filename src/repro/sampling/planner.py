@@ -18,9 +18,9 @@ resolves every batch through the shared
 3. **plan** — cold SPST on the batch relation (first batch, or the
    fallback).
 
-Outcomes land on the resolver's ``plan.resolve{source}`` metrics (also
-on an optional per-planner registry); the ladder's sustained plans/sec
-is what ``bench_sampling.py`` measures.
+Outcomes land on the ``plan.resolve{source}`` metrics of the
+planner's telemetry handle (a session passes its own); the ladder's
+sustained plans/sec is what ``bench_sampling.py`` measures.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.core.plan import CommPlan
 from repro.core.relation import CommRelation
 from repro.core.spst import SPSTPlanner
 from repro.graph.csr import Graph
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import Telemetry
 from repro.sampling.samplers import SampledSubgraph
 from repro.topology.topology import Topology
 
@@ -127,7 +127,7 @@ class BatchPlanner:
         chunks_per_class: int = 4,
         seed: int = 0,
         incremental: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
+        telemetry: Telemetry = Telemetry(),
     ) -> None:
         assignment = np.asarray(assignment, dtype=np.int64)
         if assignment.size != graph.num_vertices:
@@ -139,7 +139,7 @@ class BatchPlanner:
         self.seed = int(seed)
         self.incremental = bool(incremental)
         self.stats = BatchPlanStats()
-        self._resolver = PlanResolver(plan_cache, metrics)
+        self._resolver = PlanResolver(plan_cache, telemetry)
         #: Previous batch's plan as the donor document of the next
         #: batch's patch rung.
         self._donor: Optional[dict] = None

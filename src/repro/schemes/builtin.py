@@ -55,9 +55,8 @@ def generic_plan_cost_fn(name: str) -> Callable:
 
         return _evaluate_partitioned(
             workload, name, _cached_plan(workload, name), nonatomic=False,
-            tracer=ctx.tracer, metrics=ctx.metrics, methods=ctx.methods,
-            fidelity=ctx.fidelity, auditor=ctx.auditor,
-            recorder=ctx.recorder,
+            telemetry=ctx.telemetry, methods=ctx.methods,
+            fidelity=ctx.fidelity,
         )
 
     return cost_fn
@@ -90,9 +89,8 @@ def _dgcl_cost(cache_features: bool):
         name = "dgcl-cache" if cache_features else "dgcl"
         return _evaluate_partitioned(
             workload, name, workload.spst_plan, nonatomic=True,
-            cache_features=cache_features, tracer=ctx.tracer,
-            metrics=ctx.metrics, methods=ctx.methods, fidelity=ctx.fidelity,
-            auditor=ctx.auditor, recorder=ctx.recorder,
+            cache_features=cache_features, telemetry=ctx.telemetry,
+            methods=ctx.methods, fidelity=ctx.fidelity,
         )
 
     return cost_fn
@@ -103,15 +101,14 @@ def _p2p_cost(workload, ctx: EvalContext):
 
     return _evaluate_partitioned(
         workload, "peer-to-peer", workload.p2p_plan, nonatomic=False,
-        tracer=ctx.tracer, metrics=ctx.metrics, methods=ctx.methods,
-        fidelity=ctx.fidelity, auditor=ctx.auditor, recorder=ctx.recorder,
+        telemetry=ctx.telemetry, methods=ctx.methods, fidelity=ctx.fidelity,
     )
 
 
 def _swap_cost(workload, ctx: EvalContext):
     from repro.baselines.strategies import _evaluate_swap
 
-    return _evaluate_swap(workload, tracer=ctx.tracer, metrics=ctx.metrics)
+    return _evaluate_swap(workload, telemetry=ctx.telemetry)
 
 
 def _replication_cost(workload, ctx: EvalContext):
@@ -135,9 +132,8 @@ def _cagnet_cost(name: str):
 
         return _evaluate_partitioned(
             workload, name, _cached_plan(workload, name), nonatomic=False,
-            tracer=ctx.tracer, metrics=ctx.metrics, methods=ctx.methods,
-            fidelity=ctx.fidelity, auditor=ctx.auditor,
-            recorder=ctx.recorder,
+            telemetry=ctx.telemetry, methods=ctx.methods,
+            fidelity=ctx.fidelity,
         )
 
     return cost_fn
@@ -157,9 +153,8 @@ def _distgnn_cost(workload, ctx: EvalContext):
 
     result = _evaluate_partitioned(
         workload, "distgnn-delayed", _cached_plan(workload, "distgnn-delayed"),
-        nonatomic=False, tracer=ctx.tracer, metrics=ctx.metrics,
-        methods=ctx.methods, fidelity=ctx.fidelity, auditor=ctx.auditor,
-        recorder=ctx.recorder,
+        nonatomic=False, telemetry=ctx.telemetry, methods=ctx.methods,
+        fidelity=ctx.fidelity,
     )
     if not result.ok:
         return result

@@ -18,7 +18,7 @@ A spec carries two callables:
   for evaluation-only schemes like Swap or Replication);
 * ``cost_fn(workload, ctx) -> SchemeResult`` — prices one epoch under
   the staged cost model; ``ctx`` is an :class:`EvalContext` with the
-  telemetry sinks, forced method table, fidelity and staleness.
+  telemetry handle, forced method table, fidelity and staleness.
 
 Unknown names raise :class:`~repro.errors.UnknownSchemeError` listing
 every registered scheme.
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import UnknownSchemeError
+from repro.obs.telemetry import Telemetry
 
 __all__ = [
     "EvalContext",
@@ -62,10 +63,7 @@ class EvalContext:
     fidelity: str = "event"
     staleness: int = 0
     methods: Optional[object] = None  # a comm MethodTable, or None
-    tracer: Optional[object] = None
-    metrics: Optional[object] = None
-    auditor: Optional[object] = None
-    recorder: Optional[object] = None
+    telemetry: Telemetry = Telemetry()
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,7 @@ from repro.faults.policy import DefaultPolicy
 from repro.faults.repair import repair_plan
 from repro.graph.csr import Graph
 from repro.obs.quantile import QuantileDigest
+from repro.obs.telemetry import Telemetry
 from repro.partition import partition
 from repro.runtime.protocol import DEFAULT_CONTROL_LATENCY
 from repro.serve.admission import BoundedQueue, FairPicker, TokenBucket
@@ -433,17 +434,17 @@ class ServeSession:
         self,
         seed: int = 0,
         fault_plan=None,
-        metrics=None,
-        recorder=None,
+        telemetry: Telemetry = Telemetry(),
     ) -> "ServeReport":
         """Execute one deterministic serving campaign.
 
         ``fault_plan`` arms a fresh :class:`FaultInjector` whose
-        link/device state the dispatch loop consults; ``metrics`` and
-        ``recorder`` are optional :mod:`repro.obs` sinks.
+        link/device state the dispatch loop consults; ``telemetry``'s
+        metrics count request outcomes and latencies, and its flight
+        recorder keeps each priced batch on the serving clock.
         """
         cfg = self.config
-        run = _RunState(self, seed, fault_plan, metrics, recorder)
+        run = _RunState(self, seed, fault_plan, telemetry)
         requests = self._generate_requests(seed)
         i = 0
         while i < len(requests) or run.total_queued() > 0:
@@ -487,15 +488,17 @@ class _RunState:
     """All mutable state of one campaign (thrown away after the run)."""
 
     def __init__(self, session: ServeSession, seed, fault_plan,
-                 metrics, recorder) -> None:
+                 telemetry: Telemetry) -> None:
         """Fresh admission, ladder, replica and fault state."""
         self.session = session
         self.cfg = session.config
         self.seed = seed
         self.now = 0.0
         self.blocked_until = 0.0
-        self.metrics = metrics
-        self.recorder = recorder
+        self.telemetry = telemetry
+        #: Batch executors count bytes only: their spans and records
+        #: would sit on the phase clock, not the serving clock.
+        self._executor_telemetry = Telemetry(metrics=telemetry.metrics)
         self.tenants: Dict[str, _TenantState] = {
             t.name: _TenantState(t) for t in session.tenants
         }
@@ -648,10 +651,7 @@ class _RunState:
 
     def _count(self, tenant: str, outcome: str) -> None:
         self.tenants[tenant].counts[outcome] += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "serve.requests", tenant=tenant, outcome=outcome
-            ).inc()
+        self.telemetry.count("serve.requests", tenant=tenant, outcome=outcome)
 
     def admit_until(
         self, requests: List[InferenceRequest], i: int, until: float
@@ -873,7 +873,8 @@ class _RunState:
                 else None
             )
             executor = PlanExecutor(
-                dep.topology, capacity_of=capacity_of, metrics=self.metrics,
+                dep.topology, capacity_of=capacity_of,
+                telemetry=self._executor_telemetry,
             )
             report = executor.execute(
                 plan, cfg.bytes_per_unit, fidelity=cfg.fidelity,
@@ -887,9 +888,9 @@ class _RunState:
         )
         start = self.now
         finish = start + service
-        if self.recorder is not None and report is not None:
-            self.recorder.add(
-                f"w{self.window_idx}-batch{self.batches}", start, report
+        if report is not None:
+            self.telemetry.record(
+                f"w{self.window_idx}-batch{self.batches}", report, base=start
             )
         if needed.size:
             self.store.record(needed, finish)
@@ -906,10 +907,8 @@ class _RunState:
             state.window_digest.observe(rec.latency)
             if rec.latency <= state.spec.slo:
                 state.slo_hits += 1
-            if self.metrics is not None:
-                self.metrics.histogram(
-                    "serve.latency_us", tenant=req.tenant
-                ).observe(rec.latency * 1e6)
+            self.telemetry.observe("serve.latency_us", rec.latency * 1e6,
+                                   tenant=req.tenant)
 
     def _abort_batch(
         self, batch: Batch, attempts: int, dead: List[str]

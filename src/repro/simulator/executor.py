@@ -27,8 +27,8 @@ import numpy as np
 from repro.comm.methods import MethodTable
 from repro.core.plan import CommPlan, CommTuple
 from repro.core.relation import CommRelation
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, connection_track, device_track
+from repro.obs.telemetry import Telemetry
+from repro.obs.tracer import connection_track, device_track
 from repro.simulator.network import (
     DEFAULT_ALPHA,
     Flow,
@@ -86,8 +86,7 @@ class ExecutionReport:
 
 def record_report(
     report: ExecutionReport,
-    tracer: Optional[Tracer],
-    metrics: Optional[MetricsRegistry],
+    telemetry: Telemetry,
     base: float = 0.0,
     phase: str = "allgather",
 ) -> None:
@@ -96,10 +95,10 @@ def record_report(
     The flow simulator already returns exact per-flow timings, so
     telemetry never touches the hot path: spans and metrics are derived
     from the finished :class:`ExecutionReport`, shifted by ``base``
-    (the caller's simulated clock) onto one absolute timeline.  With
-    both sinks ``None`` this is a no-op.
+    (the caller's simulated clock) onto one absolute timeline.  With a
+    disarmed handle this is a no-op.
     """
-    if tracer is None and metrics is None:
+    if not telemetry.armed:
         return
     per_device: Dict[Tuple[int, int], List[FlowResult]] = {}
     per_stage: Dict[int, List[FlowResult]] = {}
@@ -107,48 +106,40 @@ def record_report(
         tag = result.flow.tag
         size = result.flow.size_bytes
         has_tuple = tag is not None and hasattr(tag, "src")
+        args = {"bytes": size}
         if has_tuple:
             name = f"{tag.src}->{tag.dst} s{tag.stage}"
             per_device.setdefault((tag.src, tag.stage), []).append(result)
             if tag.dst != tag.src:
                 per_device.setdefault((tag.dst, tag.stage), []).append(result)
             per_stage.setdefault(tag.stage, []).append(result)
+            args.update(src=tag.src, dst=tag.dst, stage=tag.stage,
+                        kind=tag.link.kind.value)
         else:
             name = phase
-        if metrics is not None:
-            for conn in result.flow.path:
-                metrics.counter("comm.bytes", conn=conn.name).inc(size)
-                metrics.counter("comm.bytes", kind=conn.kind.value).inc(size)
-            metrics.counter("comm.flows").inc()
-            metrics.histogram("comm.queue_seconds").observe(
-                result.start_time - result.flow.release_time
+        for conn in result.flow.path:
+            telemetry.count("comm.bytes", size, conn=conn.name)
+            telemetry.count("comm.bytes", size, kind=conn.kind.value)
+        telemetry.count("comm.flows")
+        telemetry.observe("comm.queue_seconds",
+                          result.start_time - result.flow.release_time)
+        for conn in result.flow.path:
+            telemetry.span(
+                name, "comm", connection_track(conn.name),
+                base + result.start_time, base + result.finish_time,
+                **args,
             )
-        if tracer is not None:
-            args = {"bytes": size}
-            if has_tuple:
-                args.update(src=tag.src, dst=tag.dst, stage=tag.stage,
-                            kind=tag.link.kind.value)
-            for conn in result.flow.path:
-                tracer.add_span(
-                    name, "comm", connection_track(conn.name),
-                    base + result.start_time, base + result.finish_time,
-                    **args,
-                )
-    if tracer is not None:
-        for (dev, stage), results in sorted(per_device.items()):
-            tracer.add_span(
-                f"stage {stage}", "stage", device_track(dev),
-                base + min(r.start_time for r in results),
-                base + max(r.finish_time for r in results),
-                flows=len(results),
-                bytes=sum(r.flow.size_bytes for r in results),
-            )
-    if metrics is not None:
-        for stage, results in sorted(per_stage.items()):
-            finishes = [r.finish_time for r in results]
-            metrics.histogram("stage.straggler_gap").observe(
-                max(finishes) - min(finishes)
-            )
+    for (dev, stage), results in sorted(per_device.items()):
+        telemetry.span(
+            f"stage {stage}", "stage", device_track(dev),
+            base + min(r.start_time for r in results),
+            base + max(r.finish_time for r in results),
+            flows=len(results),
+            bytes=sum(r.flow.size_bytes for r in results),
+        )
+    for stage, results in sorted(per_stage.items()):
+        finishes = [r.finish_time for r in results]
+        telemetry.observe("stage.straggler_gap", max(finishes) - min(finishes))
 
 
 class PlanExecutor:
@@ -163,10 +154,7 @@ class PlanExecutor:
         packing_efficiency: float = 1.0,
         methods: Optional[MethodTable] = None,
         capacity_of=None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        auditor=None,
-        recorder=None,
+        telemetry: Telemetry = Telemetry(),
     ) -> None:
         if coordination not in ("decentralized", "centralized"):
             raise ValueError("coordination must be decentralized or centralized")
@@ -182,15 +170,10 @@ class PlanExecutor:
         self.packing_efficiency = packing_efficiency
         #: Per-pair transfer mechanisms (§6.2); None = ideal transfers.
         self.methods = methods
-        #: Telemetry sinks; all None means no recording at all.  Like
-        #: the tracer, the auditor (:class:`~repro.obs.audit.
-        #: CostModelAuditor`) and recorder (:class:`~repro.obs.profile.
-        #: FlightRecorder`) observe finished reports only — arming them
-        #: never changes a simulated timing.
-        self.tracer = tracer
-        self.metrics = metrics
-        self.auditor = auditor
-        self.recorder = recorder
+        #: Telemetry sinks: spans, metrics, audits and flight records
+        #: of finished reports only — arming them never changes a
+        #: simulated timing.
+        self.telemetry = telemetry
 
     # ------------------------------------------------------------------
     def execute(self, plan: CommPlan, bytes_per_unit: float,
@@ -245,18 +228,11 @@ class PlanExecutor:
             report = self._execute_centralized(tuples, bytes_per_unit)
         else:
             report = self._execute_decentralized(tuples, bytes_per_unit)
-        if self.tracer is not None or self.metrics is not None:
-            base = self.tracer.now if self.tracer is not None else 0.0
-            record_report(report, self.tracer, self.metrics, base=base)
-        if self.auditor is not None:
-            self.auditor.record_tuples(
-                tuples, report, bytes_per_unit,
-                label=label or "collective", fidelity=fidelity,
-            )
-        if self.recorder is not None:
-            base = (self.tracer.now if self.tracer is not None
-                    else self.recorder.clock)
-            self.recorder.add(label or "collective", base, report)
+        telemetry = self.telemetry
+        record_report(report, telemetry, base=telemetry.now)
+        telemetry.audit(tuples, report, bytes_per_unit,
+                        label=label or "collective", fidelity=fidelity)
+        telemetry.record(label or "collective", report)
         return report
 
     def _flow_bytes(self, t: CommTuple, bytes_per_unit: float) -> float:
@@ -425,8 +401,7 @@ class SwapExecutor:
     def __init__(self, topology: Topology, alpha: float = DEFAULT_ALPHA,
                  chain_transfer: bool = True,
                  host_efficiency: float = 0.5,
-                 tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 telemetry: Telemetry = Telemetry()) -> None:
         if topology.num_machines() > 1:
             raise ValueError(
                 "Swap stages through one machine's host memory; the paper "
@@ -438,8 +413,7 @@ class SwapExecutor:
         self.topology = topology
         self.network = NetworkSimulator(alpha=alpha)
         self.chain_transfer = chain_transfer
-        self.tracer = tracer
-        self.metrics = metrics
+        self.telemetry = telemetry
         if not 0.0 < host_efficiency <= 1.0:
             raise ValueError("host_efficiency must be in (0, 1]")
         #: Fraction of peak PCIe bandwidth the CPU-mediated staging path
@@ -553,16 +527,15 @@ class SwapExecutor:
                     )
         load_results = self.network.run(load_flows)
         total = max((r.finish_time for r in load_results), default=barrier)
-        if self.tracer is not None or self.metrics is not None:
-            base = self.tracer.now if self.tracer is not None else 0.0
-            record_report(
-                ExecutionReport(total_time=barrier, flows=dump_results),
-                self.tracer, self.metrics, base=base, phase="swap dump",
-            )
-            record_report(
-                ExecutionReport(total_time=total, flows=load_results),
-                self.tracer, self.metrics, base=base, phase="swap load",
-            )
+        base = self.telemetry.now
+        record_report(
+            ExecutionReport(total_time=barrier, flows=dump_results),
+            self.telemetry, base=base, phase="swap dump",
+        )
+        record_report(
+            ExecutionReport(total_time=total, flows=load_results),
+            self.telemetry, base=base, phase="swap load",
+        )
         return ExecutionReport(
             total_time=total,
             flows=dump_results + load_results,

@@ -322,17 +322,6 @@ class TopologyBuilder:
         self.add_link(a, b, (fwd,))
         self.add_link(b, a, (rev,))
 
-    def add_duplex_path(
-        self,
-        a: int,
-        b: int,
-        forward_hops: Sequence[PhysicalConnection],
-        reverse_hops: Sequence[PhysicalConnection],
-    ) -> None:
-        """Add a multi-hop logical link in both directions."""
-        self.add_link(a, b, tuple(forward_hops))
-        self.add_link(b, a, tuple(reverse_hops))
-
     def set_host_path(
         self,
         device: int,

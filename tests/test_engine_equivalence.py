@@ -124,7 +124,7 @@ class TestChaosByteOracle:
 
     def test_vectorized_plan_conserves_bytes(self):
         from repro.chaos.oracles import RunObservation, check_bytes
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs import MetricsRegistry, Telemetry
         from repro.runtime.protocol import ProtocolRunner
 
         g = rmat(200, 1600, seed=7)
@@ -155,7 +155,7 @@ class TestChaosByteOracle:
 
         metrics = MetricsRegistry()
         gathered, report = ProtocolRunner(
-            rel, fast, metrics=metrics,
+            rel, fast, telemetry=Telemetry(metrics=metrics),
         ).run_data(blocks)
         obs = RunObservation(
             gathered=gathered,

@@ -7,6 +7,7 @@ The two load-bearing guarantees:
   and no training numeric; leaving it unarmed runs the original code.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.graph.datasets import synthetic_features, synthetic_labels
 from repro.graph.generators import rmat
 from repro.obs import (
     MetricsRegistry,
+    Telemetry,
     Tracer,
     chrome_trace_json,
     console,
@@ -47,7 +49,9 @@ def planned():
 
 def traced_execution(plan, bytes_per_unit=1024):
     tracer, metrics = Tracer(), MetricsRegistry()
-    executor = PlanExecutor(plan.topology, tracer=tracer, metrics=metrics)
+    executor = PlanExecutor(
+        plan.topology, telemetry=Telemetry(tracer=tracer, metrics=metrics)
+    )
     report = executor.execute(plan, bytes_per_unit)
     return tracer, metrics, report
 
@@ -68,7 +72,8 @@ class TestTracer:
     def test_phase_clock_offsets_spans(self, planned):
         _, _, plan = planned
         tracer = Tracer()
-        executor = PlanExecutor(plan.topology, tracer=tracer, metrics=None)
+        executor = PlanExecutor(plan.topology,
+                                telemetry=Telemetry(tracer=tracer))
         first = executor.execute(plan, 1024)
         tracer.advance(first.total_time)
         executor.execute(plan, 1024)
@@ -222,7 +227,8 @@ class TestUnarmedRegression:
         _, _, plan = planned
         bare = PlanExecutor(plan.topology).execute(plan, 2048)
         traced = PlanExecutor(
-            plan.topology, tracer=Tracer(), metrics=MetricsRegistry()
+            plan.topology,
+            telemetry=Telemetry(tracer=Tracer(), metrics=MetricsRegistry()),
         ).execute(plan, 2048)
         assert bare.total_time == traced.total_time
         assert bare.stage_finish == traced.stage_finish
@@ -231,7 +237,9 @@ class TestUnarmedRegression:
         _, rel, plan = planned
         bare = ProtocolRunner(rel, plan).run_timed(512)
         tracer = Tracer()
-        armed = ProtocolRunner(rel, plan, tracer=tracer).run_timed(512)
+        armed = ProtocolRunner(
+            rel, plan, telemetry=Telemetry(tracer=tracer)
+        ).run_timed(512)
         assert bare.total_time == armed.total_time
         assert bare.device_finish == armed.device_finish
         assert len(tracer.events()) > 0
@@ -245,7 +253,7 @@ class TestUnarmedRegression:
             model = build_model("gcn", 16, 8, 5, seed=0)
             trainer = DistributedTrainer(
                 rel, plan, model, features, labels,
-                tracer=tracer, metrics=metrics,
+                telemetry=Telemetry(tracer=tracer, metrics=metrics),
             )
             return trainer.train(2)
 
@@ -263,7 +271,8 @@ class TestUnarmedRegression:
         def losses(tracer):
             model = build_model("gcn", 16, 8, 5, seed=0)
             return SingleDeviceTrainer(
-                graph, model, features, labels, tracer=tracer
+                graph, model, features, labels,
+                telemetry=Telemetry(tracer=tracer),
             ).train(2)
 
         tracer = Tracer()
@@ -284,7 +293,8 @@ class TestUnarmedRegression:
             controller = ElasticController(
                 graph, dgx1(), build_model("gcn", 6, 8, 4, seed=7),
                 features, labels,
-                elastic=ElasticPolicy(min_devices=2), tracer=tracer,
+                elastic=ElasticPolicy(min_devices=2),
+                telemetry=Telemetry(tracer=tracer),
             )
             report = controller.train_with_schedule(4, schedule)
             return (list(report.losses), controller.clock,
@@ -302,7 +312,9 @@ class TestUnarmedRegression:
         graph, _, _ = planned
         plain = AutoTuner(graph, dgx1()).tune()
         auditor = CostModelAuditor()
-        audited = AutoTuner(graph, dgx1(), auditor=auditor).tune()
+        audited = AutoTuner(
+            graph, dgx1(), telemetry=Telemetry(auditor=auditor)
+        ).tune()
         assert [t.cost for t in plain.trials] == \
             [t.cost for t in audited.trials]
         assert plain.candidate == audited.candidate
@@ -318,7 +330,7 @@ class TestTrainerTelemetry:
         DistributedTrainer(
             rel, plan, build_model("gcn", 16, 8, 5, seed=0),
             synthetic_features(graph, 16), synthetic_labels(graph, 5),
-            tracer=tracer,
+            telemetry=Telemetry(tracer=tracer),
         ).run_epoch()
         names = [s.name for s in tracer.spans if s.track == TRAINER_TRACK]
         assert names == [
@@ -344,7 +356,7 @@ class TestResilientTelemetry:
                 fault_plan=FaultPlan(
                     [DeviceCrash(device=3, time=1e-6)], seed=2
                 ),
-                checkpoint_every=2, tracer=tracer,
+                checkpoint_every=2, telemetry=Telemetry(tracer=tracer),
             )
             return trainer.train(3)
 
@@ -374,10 +386,10 @@ class TestSessionTelemetry:
         ).astype(np.float32)
         blocks = session.dispatch_features(features)
         session.graph_allgather(blocks)
-        assert session.tracer is not None
-        phases = [s.name for s in session.tracer.by_cat("phase")]
+        tracer = session.telemetry.tracer
+        phases = [s.name for s in tracer.by_cat("phase")]
         assert "graph_allgather" in phases
-        assert session.tracer.now == pytest.approx(
+        assert tracer.now == pytest.approx(
             session.simulated_comm_seconds
         )
 
@@ -396,6 +408,37 @@ class TestSessionTelemetry:
             return session.simulated_comm_seconds
 
         assert comm_seconds(False) == comm_seconds(True)
+
+
+class TestNoProcessGlobalTelemetry:
+    def test_sinks_live_only_on_handles(self, planned):
+        """No module holds a sink, and unarmed work records nowhere."""
+        import importlib
+        import pkgutil
+
+        import repro
+        from repro.api import DGCLSession
+        from repro.obs import CostModelAuditor, FlightRecorder
+
+        sinks = (MetricsRegistry, Tracer, CostModelAuditor, FlightRecorder)
+        held = [
+            f"{info.name}.{name}"
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            for name, value in vars(importlib.import_module(info.name)).items()
+            if isinstance(value, sinks)
+        ]
+        assert held == []
+
+        graph, _, _ = planned
+        with DGCLSession(dgx1()) as session:
+            session.build_comm_info(graph, seed=0)
+            loader, sampler, planner = session.sample_loader(
+                graph, batch_size=32, fanouts=(4, 4)
+            )
+            planner.plan_batch(sampler.sample(next(loader.batches(0))))
+            session.shrink([6, 7])
+            session.grow([6, 7])
+            assert session.telemetry == Telemetry()
 
 
 class TestConsole:
@@ -481,3 +524,64 @@ class TestCliTelemetry:
         parsed = [json.loads(line) for line in lines]
         assert any(e["type"] == "span" for e in parsed)
         assert parsed[-1]["type"] == "metrics"
+
+    #: sha256 of each CLI telemetry export, recorded before the sinks
+    #: became one ``Telemetry`` handle: an export depends only on its
+    #: inputs, so a refactor of how sinks travel must not move a byte.
+    #: ``train.trace.json`` is the digest pinned when the data-parallel
+    #: layer loop landed.
+    EXPORT_DIGESTS = {
+        "train.trace.json":
+            "497217425ce7c0baf00d58b44619380f806cd44573e0889f685ee63688360e79",
+        "scheme.trace.json":
+            "ab2d4e81cf69663f7ab69760df30f88d87b022bb9ab557884982f41a65695b97",
+        "evaluate.trace.json":
+            "cbffef7b900559168a28aa807ff4fa716df2870ee34107801d805997e50b0c5e",
+        "evaluate.json":
+            "ce7bf93ad42121d76ee75f44921a0234087b3b917da8b780399b92a16150fd27",
+        "profile.json":
+            "6e5588bb40a170a5dc1a2ea9979d72de9498a7866005f42c10f506c4c70a3a48",
+        "train-cli.trace.json":
+            "c083049dca3a7fe00a35c39daad1dd389bb56adf3f0edad09a1aca56481e36b3",
+        "train-fault.trace.json":
+            "9ef4f809c7d73304426aae658ad36e446a13ffea49a70a27f5ea6c6997cb184f",
+    }
+
+    @pytest.mark.parametrize("out, argv", [
+        ("train.trace.json", ["trace", "--dataset", "web-google", "--gpus",
+                              "8", "--train", "--epochs", "2", "--output"]),
+        ("scheme.trace.json", ["trace", "--dataset", "reddit", "--gpus", "4",
+                               "--scheme", "dgcl", "--output"]),
+        ("profile.json", ["profile", "--dataset", "web-google", "--gpus", "8",
+                          "--output"]),
+        ("train-cli.trace.json", ["train", "--dataset", "web-google",
+                                  "--gpus", "4", "--epochs", "2",
+                                  "--emit-trace"]),
+    ])
+    def test_export_digest(self, tmp_path, out, argv):
+        path = tmp_path / out
+        assert main(argv + [str(path)]) == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.EXPORT_DIGESTS[out]
+
+    def test_evaluate_export_digests(self, tmp_path, capsys):
+        path = tmp_path / "evaluate.trace.json"
+        assert main(["evaluate", "--dataset", "web-google", "--gpus", "4",
+                     "--emit-trace", str(path), "--json"]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == self.EXPORT_DIGESTS["evaluate.trace.json"])
+        assert (hashlib.sha256(stdout).hexdigest()
+                == self.EXPORT_DIGESTS["evaluate.json"])
+
+    def test_resilient_export_digest(self, tmp_path):
+        from repro.faults.spec import DeviceCrash, FaultPlan
+
+        spec = tmp_path / "chaos.json"
+        FaultPlan([DeviceCrash(device=3, time=2e-5)], seed=2).save(str(spec))
+        path = tmp_path / "train-fault.trace.json"
+        assert main(["train", "--dataset", "web-google", "--gpus", "4",
+                     "--epochs", "2", "--fault-spec", str(spec),
+                     "--emit-trace", str(path)]) == 0
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == self.EXPORT_DIGESTS["train-fault.trace.json"])

@@ -2,8 +2,8 @@
 
 Each of the four callers — full-graph sessions, elastic handoffs,
 per-batch sampling and serving deployments — is driven through every
-rung it can reach, and every resolution must count exactly once on
-``plan.resolve``.
+rung it can reach, and every plan must come from exactly one
+:meth:`PlanResolver.resolve` call.
 """
 
 import json
@@ -13,22 +13,14 @@ import pytest
 
 from repro.api import DGCLSession
 from repro.autotune import CacheKey, PlanCache
+from repro.autotune.resolver import PlanResolver
 from repro.elastic import ElasticController
 from repro.gnn import build_gcn
 from repro.graph.generators import rmat
-from repro.obs.metrics import global_metrics
 from repro.partition import partition
 from repro.sampling import BatchPlanner, NeighborSampler, SeedLoader
 from repro.serve import ServeSession, TenantSpec
 from repro.topology import dgx1, topology_for_gpu_count
-
-
-def resolutions() -> float:
-    """Total ``plan.resolve`` count on the process-wide registry."""
-    return sum(
-        value for key, value in global_metrics().snapshot().items()
-        if key.startswith("plan.resolve{")
-    )
 
 
 def _graph():
@@ -122,11 +114,18 @@ LADDERS = {
 
 
 @pytest.mark.parametrize("caller", sorted(LADDERS))
-def test_every_rung_resolves_once(caller, tmp_path):
+def test_every_rung_resolves_once(caller, tmp_path, monkeypatch):
     scenario, expected = LADDERS[caller]
-    before = resolutions()
+    calls = []
+    resolve = PlanResolver.resolve
+
+    def counted(self, *args, **kwargs):
+        calls.append(caller)
+        return resolve(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanResolver, "resolve", counted)
     assert scenario(tmp_path) == expected
-    assert resolutions() - before == len(expected)
+    assert len(calls) == len(expected)
 
 
 # ----------------------------------------------------------------------

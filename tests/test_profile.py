@@ -20,6 +20,7 @@ from repro.obs import (
     MetricsRegistry,
     QuantileDigest,
     RunProfile,
+    Telemetry,
     Tracer,
     critical_path,
     diff_profiles,
@@ -48,7 +49,10 @@ def recorded_run(plan, bpu=1024, runs=2):
     """Auditor + recorder armed executor, ``runs`` executions."""
     auditor = CostModelAuditor()
     recorder = FlightRecorder()
-    executor = PlanExecutor(plan.topology, auditor=auditor, recorder=recorder)
+    executor = PlanExecutor(
+        plan.topology,
+        telemetry=Telemetry(auditor=auditor, recorder=recorder),
+    )
     for i in range(runs):
         executor.execute_tuples(list(plan.tuples()), bpu, label=f"run {i}")
     return auditor, recorder
@@ -104,7 +108,9 @@ class TestAuditor:
         fig10 = (actual - estimated) / estimated
 
         auditor = CostModelAuditor()
-        PlanExecutor(plan.topology, auditor=auditor).execute(plan, bpu)
+        PlanExecutor(
+            plan.topology, telemetry=Telemetry(auditor=auditor)
+        ).execute(plan, bpu)
         (record,) = auditor.records
         assert record.signed_error == pytest.approx(fig10, abs=1e-12)
         assert abs(record.signed_error - fig10) < 0.01  # acceptance bound
@@ -114,7 +120,9 @@ class TestAuditor:
     def test_flags_stages_over_threshold(self, planned):
         _, _, plan = planned
         strict = CostModelAuditor(threshold=1e-9)
-        PlanExecutor(plan.topology, auditor=strict).execute(plan, 1024)
+        PlanExecutor(
+            plan.topology, telemetry=Telemetry(auditor=strict)
+        ).execute(plan, 1024)
         (record,) = strict.records
         # Near-zero tolerance: every diverging stage is flagged.
         diverging = [s for s in record.stages

@@ -36,7 +36,7 @@ from repro.partition import partition
 from repro.runtime import ProtocolRunner
 from repro.runtime.events import Simulator, Timeout
 from repro.runtime.flags import FlagBoard
-from repro.obs.tracer import Tracer
+from repro.obs import Telemetry, Tracer
 from repro.topology import dgx1, pcie_only, ring
 from repro.topology.presets import torus
 
@@ -461,7 +461,8 @@ class TestReceiverWaitsForAllTransfers:
         for seed, rel, plan in dgx1_cells:
             tracer = Tracer()
             report = ProtocolRunner(
-                rel, plan, coordination=coordination, tracer=tracer
+                rel, plan, coordination=coordination,
+                telemetry=Telemetry(tracer=tracer),
             ).run_timed(256)
             late = [
                 span for span in tracer.spans

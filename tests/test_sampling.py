@@ -206,11 +206,11 @@ class TestBatchPlanner:
 
     def test_metrics_counters_recorded(self, graph, assignment, topology):
         """Satellite: batch plan sources land on a metrics registry."""
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs import MetricsRegistry, Telemetry
 
         registry = MetricsRegistry()
         planner = BatchPlanner(graph, assignment, topology,
-                               metrics=registry)
+                               telemetry=Telemetry(metrics=registry))
         planner.plan_stream(self._batches(graph, n=3))
         snap = registry.snapshot()
         counts = {

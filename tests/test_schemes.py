@@ -26,7 +26,7 @@ from repro.gnn import SingleDeviceTrainer, build_gcn
 from repro.gnn.distributed import DistributedTrainer
 from repro.graph.datasets import synthetic_features, synthetic_labels
 from repro.graph.generators import rmat
-from repro.obs import Tracer
+from repro.obs import Telemetry, Tracer
 from repro.obs.tracer import TRAINER_TRACK
 from repro.partition import partition
 from repro.schemes import (
@@ -327,7 +327,7 @@ class TestDistGNN:
         def run(tracer):
             return DistGNNTrainer(
                 rel, plan, build_gcn(12, 8, 5, seed=2), feats, labels,
-                lr=0.1, staleness=1, tracer=tracer,
+                lr=0.1, staleness=1, telemetry=Telemetry(tracer=tracer),
             ).train(2)
 
         tracer = Tracer()
