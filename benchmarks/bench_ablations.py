@@ -2,7 +2,7 @@
 
 Not paper tables, but each isolates one mechanism the paper argues for:
 
-* decentralized vs centralized coordination (§6.1),
+* decentralized vs centralized coordination (§6.1) on the protocol runner,
 * chunked planning granularity vs a single tree per multicast class,
 * data packing (§6.2) as a bandwidth-efficiency factor,
 * hierarchical vs flat partitioning on two machines (§4.1).
@@ -15,9 +15,16 @@ from repro.core.baseline_planners import static_tree_plan
 from repro.core.relation import CommRelation
 from repro.core.spst import SPSTPlanner
 from repro.partition.metis import edge_cut, partition
+from repro.runtime import ProtocolRunner
 from repro.simulator.executor import PlanExecutor
 
-from benchmarks.conftest import get_workload, ms, shared_topology, write_table
+from benchmarks.conftest import (
+    COORDINATION_NOTES,
+    get_workload,
+    ms,
+    shared_topology,
+    write_table,
+)
 
 
 def test_ablation_coordination(benchmark):
@@ -27,20 +34,20 @@ def test_ablation_coordination(benchmark):
     rows = []
     times = {}
     for mode in ("decentralized", "centralized"):
-        executor = PlanExecutor(w.topology, coordination=mode)
-        times[mode] = executor.execute(w.spst_plan, bpu).total_time
-        rows.append([mode, ms(times[mode])])
+        runner = ProtocolRunner(w.relation, w.spst_plan, coordination=mode)
+        times[mode] = runner.run_timed(bpu).total_time
+        rows.append([mode, f"{times[mode] * 1e6:.2f}"])
     write_table(
         "ablation_coordination",
         "Ablation: coordination protocol, one allgather (web-google, 8 GPUs)",
-        ["Coordination", "Time (ms)"],
+        ["Coordination", "Time (us)"],
         rows,
+        notes=COORDINATION_NOTES,
     )
     assert times["decentralized"] < times["centralized"]
 
-    executor = PlanExecutor(w.topology)
-    benchmark.pedantic(lambda: executor.execute(w.spst_plan, bpu),
-                       rounds=3, iterations=1)
+    runner = ProtocolRunner(w.relation, w.spst_plan)
+    benchmark.pedantic(lambda: runner.run_timed(bpu), rounds=3, iterations=1)
 
 
 def test_ablation_chunk_granularity(benchmark):

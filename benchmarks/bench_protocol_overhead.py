@@ -17,7 +17,7 @@ import pytest
 from repro.runtime import ProtocolRunner
 from repro.simulator.executor import PlanExecutor
 
-from benchmarks.conftest import get_workload, write_table
+from benchmarks.conftest import COORDINATION_NOTES, get_workload, write_table
 
 DATASETS = ["reddit", "com-orkut", "web-google", "wiki-talk"]
 
@@ -55,10 +55,7 @@ def test_protocol_overhead(benchmark):
         ["Dataset", "Cost model", "Transfers", "Decentralized", "Centralized",
          "flag overhead"],
         rows,
-        notes="Decentralized = §6.1 ready/done protocol; centralized adds "
-              "a master barrier per stage.  On uniform runs the two tie at "
-              "twin scale; the decentralized win is straggler isolation "
-              "(see tests/test_runtime.py).",
+        notes=COORDINATION_NOTES,
     )
 
     for dataset, (est, transfer, dec, cen) in measured.items():

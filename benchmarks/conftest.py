@@ -73,6 +73,15 @@ def write_table(
     return text
 
 
+#: Footnote of both §6.1 coordination tables (ablation and protocol
+#: overhead), which read the same protocol runner.
+COORDINATION_NOTES = (
+    "Decentralized = §6.1 ready/done protocol; centralized adds a master "
+    "barrier per stage.  On uniform runs the two tie at twin scale; the "
+    "decentralized win is straggler isolation (see tests/test_runtime.py)."
+)
+
+
 def ms(seconds: float) -> str:
     return f"{seconds * 1e3:.3f}"
 

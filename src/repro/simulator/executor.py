@@ -6,9 +6,9 @@ coordination protocol of paper §6.1: a transfer of stage ``k`` between
 devices ``i`` and ``j`` starts as soon as *both* endpoints have finished
 all their stage ``< k`` transfers — no global barrier, so independent
 device pairs drift through stages at their own pace and transient
-stragglers do not block unrelated traffic.  A ``centralized`` mode with
-per-stage global barriers plus a master round-trip is provided for the
-ablation.
+stragglers do not block unrelated traffic.  The centralized master
+barrier it is argued against lives in one place only:
+:class:`~repro.runtime.protocol.ProtocolRunner`.
 
 :class:`SwapExecutor` models the NeuGraph-style Swap baseline: every
 device dumps its local embeddings to host memory, a barrier, then every
@@ -34,6 +34,7 @@ from repro.simulator.network import (
     Flow,
     FlowResult,
     NetworkSimulator,
+    _check_amount,
     bottleneck_seconds,
 )
 from repro.topology.links import LinkKind
@@ -41,11 +42,6 @@ from repro.topology.topology import Topology
 
 __all__ = ["ExecutionReport", "PlanExecutor", "SwapExecutor",
            "record_report"]
-
-#: Master round-trip per stage under centralized coordination (§6.1
-#: argues this overhead motivates the decentralized protocol).  ~50 us on
-#: hardware, scaled by the twin factor (1/100).
-DEFAULT_MASTER_LATENCY = 5e-7
 
 #: Effective receive throughput under atomic gradient accumulation
 #: (§6.2): colliding atomicAdds on the receive path derate the transfer
@@ -149,15 +145,11 @@ class PlanExecutor:
         self,
         topology: Topology,
         alpha: float = DEFAULT_ALPHA,
-        coordination: str = "decentralized",
-        master_latency: float = DEFAULT_MASTER_LATENCY,
         packing_efficiency: float = 1.0,
         methods: Optional[MethodTable] = None,
         capacity_of=None,
         telemetry: Telemetry = Telemetry(),
     ) -> None:
-        if coordination not in ("decentralized", "centralized"):
-            raise ValueError("coordination must be decentralized or centralized")
         if not 0.0 < packing_efficiency <= 1.0:
             raise ValueError("packing_efficiency must be in (0, 1]")
         self.topology = topology
@@ -165,8 +157,6 @@ class PlanExecutor:
         #: Bandwidth override hook (fault injection); None = nominal.
         self.capacity_of = capacity_of
         self.network = NetworkSimulator(alpha=alpha, capacity_of=capacity_of)
-        self.coordination = coordination
-        self.master_latency = master_latency
         self.packing_efficiency = packing_efficiency
         #: Per-pair transfer mechanisms (§6.2); None = ideal transfers.
         self.methods = methods
@@ -220,12 +210,11 @@ class PlanExecutor:
         """Run an arbitrary tuple subset (used for per-link breakdowns)."""
         if fidelity not in ("event", "cost"):
             raise ValueError("fidelity must be 'event' or 'cost'")
+        _check_amount("bytes_per_unit", bytes_per_unit)
         if not tuples:
             return ExecutionReport(total_time=0.0)
         if fidelity == "cost":
             report = self._execute_cost_only(tuples, bytes_per_unit)
-        elif self.coordination == "centralized":
-            report = self._execute_centralized(tuples, bytes_per_unit)
         else:
             report = self._execute_decentralized(tuples, bytes_per_unit)
         telemetry = self.telemetry
@@ -277,8 +266,6 @@ class PlanExecutor:
         now = 0.0
         stage_finish: Dict[int, float] = {}
         for k in sorted(stage_bytes):
-            if self.coordination == "centralized":
-                now += self.master_latency
             now += stage_setup[k] + bottleneck_seconds(
                 stage_bytes[k], capacity_of=self.capacity_of
             )
@@ -356,33 +343,6 @@ class PlanExecutor:
             k = r.flow.tag.stage
             stage_finish[k] = max(stage_finish.get(k, 0.0), r.finish_time)
         return ExecutionReport(total_time=total, flows=results,
-                               stage_finish=stage_finish)
-
-    # -- centralized: global barrier + master round trip per stage ------
-    def _execute_centralized(
-        self, tuples: Sequence[CommTuple], bytes_per_unit: float
-    ) -> ExecutionReport:
-        stages = sorted({t.stage for t in tuples})
-        now = 0.0
-        all_results: List[FlowResult] = []
-        stage_finish: Dict[int, float] = {}
-        for k in stages:
-            now += self.master_latency
-            stage_tuples = [t for t in tuples if t.stage == k]
-            flows = [
-                Flow(
-                    path=t.link.connections,
-                    size_bytes=self._flow_bytes(t, bytes_per_unit),
-                    release_time=now + self._setup_extra(t),
-                    tag=t,
-                )
-                for t in stage_tuples
-            ]
-            results = self.network.run(flows)
-            all_results.extend(results)
-            now = max(r.finish_time for r in results)
-            stage_finish[k] = now
-        return ExecutionReport(total_time=now, flows=all_results,
                                stage_finish=stage_finish)
 
 

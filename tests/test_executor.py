@@ -48,25 +48,29 @@ class TestPlanExecutor:
         ex = PlanExecutor(topo)
         assert ex.execute(plan, 2048).total_time > ex.execute(plan, 64).total_time
 
-    def test_centralized_slower_than_decentralized(self, setup):
-        _, _, topo, plan = setup
-        dec = PlanExecutor(topo, coordination="decentralized").execute(plan, 1024)
-        cen = PlanExecutor(topo, coordination="centralized").execute(plan, 1024)
-        assert cen.total_time > dec.total_time
-
     def test_packing_efficiency_inflates_time(self, setup):
         _, _, topo, plan = setup
         packed = PlanExecutor(topo, packing_efficiency=1.0).execute(plan, 1024)
         unpacked = PlanExecutor(topo, packing_efficiency=0.5).execute(plan, 1024)
         assert unpacked.total_time > packed.total_time
 
-    def test_invalid_coordination(self, setup):
-        with pytest.raises(ValueError):
-            PlanExecutor(setup[2], coordination="psychic")
-
     def test_invalid_packing(self, setup):
         with pytest.raises(ValueError):
             PlanExecutor(setup[2], packing_efficiency=0.0)
+
+    @pytest.mark.parametrize("fidelity", ["cost", "event"])
+    @pytest.mark.parametrize("size", [float("nan"), -64.0, float("inf")],
+                             ids=["nan", "negative", "inf"])
+    def test_bad_bytes_per_unit_rejected(self, setup, size, fidelity):
+        """Both fidelities and the atomic backward reject a bad size up
+        front instead of pricing it as alpha only or as infinity."""
+        _, _, topo, plan = setup
+        ex = PlanExecutor(topo)
+        with pytest.raises(ValueError, match="bytes_per_unit"):
+            ex.execute(plan, size, fidelity=fidelity)
+        with pytest.raises(ValueError, match="bytes_per_unit"):
+            ex.execute_backward(plan.backward_tuples(), size, atomic=True,
+                                fidelity=fidelity)
 
     def test_backward_execution(self, setup):
         _, _, topo, plan = setup

@@ -17,8 +17,11 @@ from repro.runtime import (
     WaitFlag,
 )
 from repro.runtime.events import AllOf, Event, WaitEvent
+from repro.schemes.registry import global_registry
+from repro.simulator.executor import PlanExecutor
 from repro.topology import dgx1
 from repro.topology.links import LinkKind, PhysicalConnection
+from repro.topology.presets import pcie_only, ring, torus
 
 
 class TestSimulator:
@@ -199,6 +202,46 @@ def workload():
     return graph, rel, plan
 
 
+#: Topology presets of the cross-fidelity oracle, by test id.
+ORACLE_TOPOLOGIES = {
+    "dgx1": dgx1,
+    "ring8": lambda: ring(8),
+    "torus2x4": lambda: torus(2, 4),
+    "pcie8": lambda: pcie_only(8),
+}
+
+#: A per-destination static path relays one link once per destination,
+#: which the multicast-tree check in ``CommPlan.validate`` refuses.
+_RELAY_TREE_CHECK = pytest.mark.xfail(
+    strict=True, raises=ValueError,
+    reason="ROADMAP item 6: peer-to-peer routes on ring/torus fail "
+           "'does not deliver to every destination'",
+)
+
+
+def _oracle_cells():
+    for scheme in global_registry().plan_based_names():
+        for topology in ORACLE_TOPOLOGIES:
+            for seed in range(3):
+                relayed = (scheme in ("peer-to-peer", "distgnn-delayed")
+                           and topology in ("ring8", "torus2x4"))
+                yield pytest.param(
+                    scheme, topology, seed,
+                    marks=_RELAY_TREE_CHECK if relayed else (),
+                    id=f"{scheme}-{topology}-seed{seed}",
+                )
+
+
+@pytest.fixture(scope="module")
+def oracle_relations():
+    relations = {}
+    for seed in range(3):
+        graph = rmat(400, 3000, seed=seed)
+        assignment = partition(graph, 8, seed=0).assignment
+        relations[seed] = CommRelation(graph, assignment, 8)
+    return relations
+
+
 class TestProtocolRunner:
     def test_delivers_same_rows_as_compiled_allgather(self, workload):
         graph, rel, plan = workload
@@ -311,13 +354,27 @@ class TestProtocolRunner:
     def test_matches_transfer_level_executor_roughly(self, workload):
         """The protocol clock should land near the transfer-level
         simulator's (same network model + protocol overheads)."""
-        from repro.simulator.executor import PlanExecutor
-
         _, rel, plan = workload
         protocol = ProtocolRunner(rel, plan).run_timed(1024).total_time
         transfer = PlanExecutor(dgx1()).execute(plan, 1024).total_time
         assert protocol == pytest.approx(transfer, rel=1.0)
         assert protocol >= transfer  # flags + control plane cost extra
+
+    @pytest.mark.parametrize("scheme,topology,seed", _oracle_cells())
+    def test_executor_equals_zero_latency_protocol(
+        self, oracle_relations, scheme, topology, seed
+    ):
+        """The event executor is the §6.1 protocol with free control
+        messages: at zero flag and control latency the two clocks agree
+        bit for bit, for every registered plan-based scheme."""
+        rel = oracle_relations[seed]
+        topo = ORACLE_TOPOLOGIES[topology]()
+        plan = global_registry().get(scheme).build_plan(rel, topo)
+        executed = PlanExecutor(topo).execute(plan, 1024).total_time
+        protocol = ProtocolRunner(
+            rel, plan, flag_latency=0, control_latency=0
+        ).run_timed(1024).total_time
+        assert executed == protocol
 
 
 class TestBootstrap:
