@@ -56,6 +56,10 @@ def _cell(report, deterministic):
         ),
         "final_level": report.final_level,
         "deterministic": bool(deterministic),
+        # Wire volume: forward plan units priced per dispatched batch.
+        "units_per_batch": round(
+            report.batch_cache["units"] / report.batches, 3
+        ),
     }
 
 

@@ -106,6 +106,7 @@ SPECS: Dict[str, Tuple[Tuple[str, ...], Tuple[Metric, ...]]] = {
             Metric("cells.*.p99_latency_us", "lower", 0.05),
             Metric("cells.*.goodput_rps", "higher", 0.05),
             Metric("cells.*.shed_rate", "lower", 0.10),
+            Metric("cells.*.units_per_batch", "lower", 0.01),
             Metric("cells.*.silent_drops", "equal"),
             Metric("cells.*.deterministic", "equal"),
         ),

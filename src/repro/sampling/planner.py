@@ -20,7 +20,9 @@ resolves every batch through the shared
 
 Outcomes land on the ``plan.resolve{source}`` metrics of the
 planner's telemetry handle (a session passes its own); the ladder's
-sustained plans/sec is what ``bench_sampling.py`` measures.
+sustained plans/sec is what ``bench_sampling.py`` measures.  Serving
+plans its batches here too, with ``incremental=False`` and an
+in-memory cache (:mod:`repro.serve.server`).
 """
 
 from __future__ import annotations

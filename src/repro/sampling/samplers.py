@@ -29,7 +29,13 @@ import numpy as np
 
 from repro.graph.csr import Graph
 
-__all__ = ["SampledSubgraph", "NeighborSampler", "KHopSampler"]
+__all__ = [
+    "SampledSubgraph",
+    "NeighborSampler",
+    "KHopSampler",
+    "gather_in_edges",
+    "finish_batch",
+]
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ class SampledSubgraph:
         )
 
 
-def _finish_batch(
+def finish_batch(
     parent: Graph,
     seeds: np.ndarray,
     frontiers: Tuple[np.ndarray, ...],
@@ -114,19 +120,21 @@ def _finish_batch(
     )
 
 
-def _gather_in_edges(
+def gather_in_edges(
     graph: Graph, frontier: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All in-edges of ``frontier``: (tails, heads, per-head degrees)."""
+    """All in-edges of ``frontier``: (tails, heads, per-head degrees).
+
+    Edges come grouped by head in ``frontier`` order (repeats included),
+    each group in CSR order.  One index array addresses every group's
+    slice of ``in_indices``, so there is no per-vertex loop.
+    """
     starts = graph.in_indptr[frontier]
-    stops = graph.in_indptr[frontier + 1]
-    degrees = stops - starts
+    degrees = graph.in_indptr[frontier + 1] - starts
     total = int(degrees.sum())
-    tails = np.empty(total, dtype=np.int64)
-    pos = 0
-    for s, e in zip(starts, stops):
-        tails[pos : pos + (e - s)] = graph.in_indices[s:e]
-        pos += e - s
+    group_start = np.cumsum(degrees) - degrees
+    index = np.repeat(starts - group_start, degrees) + np.arange(total)
+    tails = graph.in_indices[index].astype(np.int64, copy=False)
     heads = np.repeat(frontier, degrees)
     return tails, heads, degrees
 
@@ -179,7 +187,7 @@ class NeighborSampler:
             if frontier.size == 0:
                 frontiers.append(frontiers[-1])
                 continue
-            tails, heads, degrees = _gather_in_edges(graph, frontier)
+            tails, heads, degrees = gather_in_edges(graph, frontier)
             if tails.size == 0:
                 frontiers.append(frontiers[-1])
                 continue
@@ -207,7 +215,7 @@ class NeighborSampler:
             np.concatenate(edge_dst_parts) if edge_dst_parts
             else np.empty(0, dtype=np.int64)
         )
-        return _finish_batch(
+        return finish_batch(
             graph, seeds, tuple(frontiers), edge_src, edge_dst
         )
 

@@ -27,7 +27,6 @@ from repro.serve.degrade import (
 )
 from repro.serve.forward import (
     ForwardOnlyPlan,
-    batch_fingerprint,
     forward_only,
     plan_connections,
     restrict_forward,
@@ -66,7 +65,6 @@ __all__ = [
     "TenantSpec",
     "TokenBucket",
     "arrival_times",
-    "batch_fingerprint",
     "build_scenario",
     "forward_only",
     "plan_connections",

@@ -13,28 +13,33 @@ runs the forward half, so a serving plan derived here:
   :class:`~repro.errors.ForwardOnlyPlanError` instead of silently
   scheduling gradient traffic a frontend must never generate.
 
-:func:`restrict_forward` additionally narrows a plan to the vertices
-one coalesced batch actually needs, which is what makes per-request
-plans cheap enough to price on every dispatch, and
-:func:`batch_fingerprint` names such a restriction for the batch-plan
-cache.
+:func:`restrict_forward` wraps what one coalesced batch moves — the
+seeds' in-edges whose tail another device owns, the paper's allgather
+relation on the batch — in a sampled subgraph that the server plans
+with :class:`~repro.sampling.planner.BatchPlanner`, so a row goes only
+to the devices that read it.
 """
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Set, Tuple
 
 import numpy as np
 
-from repro.autotune.fingerprint import _digest
-from repro.core.plan import CommPlan, CommTuple, VertexClassRoute
+from repro.core.plan import CommPlan, CommTuple
 from repro.errors import ForwardOnlyPlanError
+from repro.graph.csr import Graph
+from repro.sampling.samplers import (
+    SampledSubgraph,
+    finish_batch,
+    gather_in_edges,
+)
 
 __all__ = [
     "ForwardOnlyPlan",
     "forward_only",
+    "cross_in_edges",
     "restrict_forward",
-    "batch_fingerprint",
     "plan_connections",
 ]
 
@@ -67,45 +72,32 @@ def forward_only(plan: CommPlan, name: str = "") -> ForwardOnlyPlan:
     )
 
 
+def cross_in_edges(
+    graph: Graph, assignment: np.ndarray, seeds: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """In-edges ``(tails, heads)`` of ``seeds`` whose tail another
+    device owns: the rows a one-layer forward pass of the seeds reads
+    over the wire."""
+    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+    tails, heads, _ = gather_in_edges(graph, seeds)
+    cross = assignment[tails] != assignment[heads]
+    return tails[cross], heads[cross]
+
+
 def restrict_forward(
-    plan: CommPlan, vertices: np.ndarray, name: str = ""
-) -> ForwardOnlyPlan:
-    """Forward-only sub-plan carrying only ``vertices``.
-
-    Each route keeps its tree shape (links and stages untouched, so the
-    repaired/degraded paths chosen by the fault layer stay valid) but
-    drops every vertex the batch does not need; routes left empty are
-    dropped entirely.  ``vertices`` may be unsorted; the result's tuple
-    vertex sets are the sorted intersection, so the same batch always
-    compiles to the same plan.
-    """
-    needed = np.unique(np.asarray(vertices, dtype=np.int64))
-    routes: List[VertexClassRoute] = []
-    for route in plan.routes:
-        kept = route.vertices[np.isin(route.vertices, needed)]
-        if kept.size:
-            routes.append(
-                VertexClassRoute(
-                    source=route.source,
-                    destinations=route.destinations,
-                    vertices=kept,
-                    edges=route.edges,
-                )
-            )
-    return ForwardOnlyPlan(
-        plan.topology, routes, name=name or f"{plan.name}+batch"
-    )
-
-
-def batch_fingerprint(plan_name: str, vertices: np.ndarray) -> str:
-    """Content hash naming one batch restriction of one plan.
-
-    Two batches that need the same vertex set (however their requests
-    were coalesced) hash identically, which is what gives the batch
-    plan cache its hits under hot-vertex skew.
-    """
-    needed = np.unique(np.asarray(vertices, dtype=np.int64))
-    return _digest(plan_name.encode(), needed.tobytes())
+    graph: Graph, assignment: np.ndarray, seeds: np.ndarray,
+    fresh: np.ndarray,
+) -> SampledSubgraph:
+    """The cross-partition in-edges of ``seeds`` whose tail is in
+    ``fresh`` (the rows left once replicas and crashed owners are split
+    off), as a subgraph over their endpoints only: two batches with the
+    same such edges fingerprint alike, whatever else their seeds read."""
+    tails, heads = cross_in_edges(graph, assignment, seeds)
+    keep = np.isin(tails, fresh)
+    tails, heads = tails[keep], heads[keep]
+    readers = np.unique(heads)
+    vertices = np.union1d(tails, readers)
+    return finish_batch(graph, readers, (readers, vertices), tails, heads)
 
 
 def plan_connections(plan: CommPlan) -> Set[str]:

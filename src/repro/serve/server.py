@@ -14,11 +14,11 @@ clock.  The request path is:
 3. **scheduling**: weighted-fair queuing picks the next tenant, the
    coalescing batcher merges compatible requests while the head's SLO
    headroom allows;
-4. **dispatch**: the batch's cross-partition vertex set is priced as a
-   restricted forward-only plan (batch-plan cache keyed by content
-   fingerprint; the full deployment's plan itself is resolved through
-   the shared :class:`~repro.autotune.cache.PlanCache` when one is
-   given).
+4. **dispatch**: the seeds' in-edges from other devices, less rows
+   served stale or lost to crashed owners, are planned by a per-run
+   :class:`~repro.sampling.planner.BatchPlanner` (memo hit, else cold
+   SPST) and priced forward-only; the full deployment's plan is resolved
+   through the shared :class:`~repro.autotune.cache.PlanCache` if given.
    Faults from :mod:`repro.faults` drive the retry → repair → degrade
    ladder per batch, with exponential backoff on the simulated clock;
 5. **feedback**: windowed per-tenant p99 (via
@@ -37,11 +37,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.autotune.cache import PlanCache
 from repro.autotune.fingerprint import cache_key
 from repro.autotune.resolver import PlanResolver
 from repro.core.plan import CommPlan
@@ -63,6 +65,7 @@ from repro.obs.quantile import QuantileDigest
 from repro.obs.telemetry import Telemetry
 from repro.partition import partition
 from repro.runtime.protocol import DEFAULT_CONTROL_LATENCY
+from repro.sampling.planner import BatchPlanner
 from repro.serve.admission import BoundedQueue, FairPicker, TokenBucket
 from repro.serve.arrivals import (
     ArrivalSpec,
@@ -74,7 +77,7 @@ from repro.serve.batcher import Batch, CoalescingBatcher
 from repro.serve.degrade import DegradationLadder, LEVELS, ReplicaStore
 from repro.serve.forward import (
     ForwardOnlyPlan,
-    batch_fingerprint,
+    cross_in_edges,
     forward_only,
     plan_connections,
     restrict_forward,
@@ -215,15 +218,39 @@ class ServeConfig:
     autoscale: Optional[AutoscaleSpec] = None
 
     def __post_init__(self) -> None:
-        """Validate the campaign knobs."""
-        if self.horizon <= 0:
-            raise ServeSpecError("horizon must be positive")
-        if self.fidelity not in ("cost", "event"):
-            raise ServeSpecError("fidelity must be 'cost' or 'event'")
-        if self.windows < 1:
-            raise ServeSpecError("windows must be >= 1")
-        if self.max_attempts < 1:
-            raise ServeSpecError("max_attempts must be >= 1")
+        """Validate the campaign knobs before any simulated time elapses:
+        a NaN or infinite time would empty the campaign or never end it.
+        Every comparison below is False for NaN."""
+        def finite_non_negative(value: float) -> bool:
+            return 0.0 <= value < math.inf
+
+        checks = [
+            (0.0 < self.horizon < math.inf,
+             "horizon must be finite and positive"),
+            (self.max_batch >= 1, "max_batch must be >= 1"),
+            (self.coalesce_window is None
+             or finite_non_negative(self.coalesce_window),
+             "coalesce_window must be finite and non-negative"),
+            (finite_non_negative(self.bytes_per_unit),
+             "bytes_per_unit must be finite and non-negative"),
+            (self.fidelity in ("cost", "event"),
+             "fidelity must be 'cost' or 'event'"),
+            (self.windows >= 1, "windows must be >= 1"),
+            (self.engage_after >= 1, "engage_after must be >= 1"),
+            (self.recover_after >= 1, "recover_after must be >= 1"),
+            (self.max_attempts >= 1, "max_attempts must be >= 1"),
+            (finite_non_negative(self.retry_backoff),
+             "retry_backoff must be finite and non-negative"),
+            (self.stale_ttl > 0, "stale_ttl must be positive"),
+            (finite_non_negative(self.batch_overhead),
+             "batch_overhead must be finite and non-negative"),
+            (finite_non_negative(self.compute_seconds),
+             "compute_seconds must be finite and non-negative"),
+            (self.partition_seed >= 0, "partition_seed must be >= 0"),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise ServeSpecError(message)
 
 
 @dataclass
@@ -294,31 +321,16 @@ class _Deployment:
         self.source = resolution.source
         self.plan: ForwardOnlyPlan = forward_only(resolution.plan)
         self.connections = frozenset(plan_connections(self.plan))
-        #: Vertices the plan actually moves (sorted, for intersection).
-        if self.plan.routes:
-            self.moved = np.unique(
-                np.concatenate([r.vertices for r in self.plan.routes])
-            )
-        else:  # pragma: no cover - degenerate single-class graphs
-            self.moved = np.empty(0, dtype=np.int64)
         total_units = max(1, self.plan.total_units())
         self.base_service = self.plan.estimated_cost(config.bytes_per_unit)
         self.unit_service = self.base_service / total_units
         self._graph = graph
 
     def needed_for(self, seeds: np.ndarray) -> np.ndarray:
-        """Cross-partition vertices one request's seed set requires.
-
-        A one-layer forward pass over ``seeds`` reads the features of
-        the seeds and their in-neighbors; of those, only the vertices
-        the plan moves (i.e. remote to some reader) cost communication.
-        """
-        indptr, indices = self._graph.in_indptr, self._graph.in_indices
-        parts = [seeds]
-        for s in seeds.tolist():
-            parts.append(indices[indptr[s]: indptr[s + 1]])
-        cand = np.unique(np.concatenate(parts).astype(np.int64))
-        return cand[np.isin(cand, self.moved)]
+        """Rows a one-layer forward pass over ``seeds`` moves: the
+        distinct in-neighbors owned by a device other than the seed's."""
+        tails, _ = cross_in_edges(self._graph, self.assignment, seeds)
+        return np.unique(tails)
 
     def estimate(self, needed: int, config: ServeConfig, batch: int) -> float:
         """Cheap service-time proxy used for batch close times."""
@@ -527,9 +539,10 @@ class _RunState:
         self.scaled_out = False
         self.autoscale_events: List[Dict[str, object]] = []
         self.records: Dict[int, RequestRecord] = {}
-        self.batch_plans: Dict[str, ForwardOnlyPlan] = {}
+        self._new_planner()
         self.cache_hits = 0
         self.cache_misses = 0
+        self.units = 0
         self.batches = 0
         self.window_len = self.cfg.horizon / self.cfg.windows
         self.window_idx = 0
@@ -616,7 +629,7 @@ class _RunState:
         self.blocked_until = max(self.blocked_until, boundary + downtime)
         # Ownership changed: replicas and batch plans are void.
         self.store.clear()
-        self.batch_plans.clear()
+        self._new_planner()
         self.log.append(
             boundary, "serve", "scale-out",
             f"devices:{len(before.devices)}->{len(self.deployment.devices)}",
@@ -715,17 +728,29 @@ class _RunState:
                 out.append(dev)
         return out
 
-    def _batch_plan(self, vertices: np.ndarray) -> ForwardOnlyPlan:
-        """Restricted forward plan for ``vertices`` (content-cached)."""
-        fp = batch_fingerprint(self.deployment.plan.name, vertices)
-        plan = self.batch_plans.get(fp)
-        if plan is None:
-            self.cache_misses += 1
-            plan = restrict_forward(self.deployment.plan, vertices)
-            self.batch_plans[fp] = plan
-        else:
-            self.cache_hits += 1
-        return plan
+    def _new_planner(self) -> None:
+        """A fresh batch planner and memo for the current deployment."""
+        dep = self.deployment
+        self.plan_memo = PlanCache(None)
+        self.planner = BatchPlanner(
+            self.session.graph, dep.assignment, dep.topology,
+            plan_cache=self.plan_memo, incremental=False,
+            seed=self.cfg.partition_seed,
+        )
+
+    def _batch_plan(
+        self, seeds: np.ndarray, fresh: np.ndarray
+    ) -> ForwardOnlyPlan:
+        """Forward plan moving the ``fresh`` rows to the seeds reading
+        them: a memo hit, else a cold SPST plan."""
+        batch = restrict_forward(
+            self.session.graph, self.deployment.assignment, seeds, fresh
+        )
+        planned = self.planner.plan_batch(batch)
+        cold = planned.plan_source == "planned"
+        self.cache_misses += cold
+        self.cache_hits += not cold
+        return forward_only(planned.plan)
 
     def dispatch(self, batch: Batch) -> None:
         """Serve one batch: fault ladder, pricing, completion records."""
@@ -737,9 +762,8 @@ class _RunState:
         self.batches += 1
 
         # ---- split the needed set: fresh wire bytes vs stale replicas
-        needed = np.unique(np.concatenate(
-            [dep.needed_for(r.vertices) for r in batch.requests]
-        )) if batch.requests else np.empty(0, np.int64)
+        seeds = np.concatenate([r.vertices for r in batch.requests])
+        needed = dep.needed_for(seeds)
         stale_rows = 0
         if self.ladder.stale_serve and needed.size:
             needed, stale = self.store.split(needed, self.now)
@@ -790,9 +814,10 @@ class _RunState:
                     )
                     if not batch.requests:
                         return
-                    needed = np.unique(np.concatenate(
-                        [dep.needed_for(r.vertices) for r in batch.requests]
-                    ))
+                    seeds = np.concatenate(
+                        [r.vertices for r in batch.requests]
+                    )
+                    needed = dep.needed_for(seeds)
                     if self.ladder.stale_serve and needed.size:
                         needed, stale = self.store.split(needed, self.now)
                         stale_rows = int(stale.size)
@@ -800,7 +825,7 @@ class _RunState:
 
         # ---- link fault ladder: retry -> repair -> degrade, typed abort
         plan: Optional[CommPlan] = (
-            self._batch_plan(needed) if needed.size else None
+            self._batch_plan(seeds, needed) if needed.size else None
         )
         attempts = 0
         if plan is not None and self.injector is not None \
@@ -881,6 +906,7 @@ class _RunState:
                 label=f"serve-batch-{self.batches}",
             )
             comm = report.total_time
+            self.units += plan.total_units()
         service = (
             cfg.batch_overhead
             + cfg.compute_seconds * len(batch.requests)
@@ -975,7 +1001,8 @@ class _RunState:
             batch_cache={
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
-                "plans": len(self.batch_plans),
+                "plans": len(self.plan_memo),
+                "units": self.units,
             },
             stale_rows=self.store.stale_rows_served,
             fault_log=[

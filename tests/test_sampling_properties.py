@@ -6,7 +6,10 @@ graphs, seeds and fanout configurations:
 * the batch stream is a pure function of its seeds — same (loader
   seed, sampler seed, epoch) means bit-identical batches;
 * every sampled edge exists in the parent CSR;
-* frontier growth respects the fanout caps layer by layer.
+* frontier growth respects the fanout caps layer by layer;
+
+and the vectorised in-edge gather returns what the per-vertex loop in
+:mod:`tests.sampling_oracle` returns.
 """
 
 import numpy as np
@@ -14,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph.csr import Graph
 from repro.sampling import KHopSampler, NeighborSampler, SeedLoader
+from repro.sampling.samplers import gather_in_edges
+from tests import sampling_oracle as oracle
 
 
 @st.composite
@@ -134,3 +139,19 @@ class TestFanoutCaps:
                 g.in_indptr[global_id + 1] - g.in_indptr[global_id]
             )
             assert sampled_deg <= min(parent_deg, cap)
+
+
+class TestGatherOracle:
+    @given(random_graph(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_vectorised_gather_matches_the_loop(self, g, data):
+        """Same tails, heads and degrees, dtypes included, for any
+        frontier: zero-degree vertices, repeats and any order."""
+        frontier = np.asarray(data.draw(st.lists(
+            st.integers(0, g.num_vertices - 1), max_size=12
+        )), dtype=np.int64)
+        got = gather_in_edges(g, frontier)
+        want = oracle.gather_in_edges(g, frontier)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)

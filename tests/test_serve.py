@@ -24,6 +24,7 @@ from repro.serve import (
     OUTCOMES,
     ReplicaStore,
     SeedSampler,
+    ServeConfig,
     ServeSession,
     TokenBucket,
     arrival_times,
@@ -315,3 +316,27 @@ class TestHealthyScenario:
                TenantSpec(name="a", slo=2e-5)]
         with pytest.raises(ServeSpecError):
             ServeSession(graph, topo, dup)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("horizon", NAN),            # empty campaign
+    ("horizon", INF),            # never ends
+    ("batch_overhead", NAN),     # never ends
+    ("compute_seconds", -1.0),   # negative latencies
+    ("retry_backoff", -1.0),
+    ("bytes_per_unit", -16.0),
+    ("bytes_per_unit", NAN),
+    ("max_batch", 0),
+    ("coalesce_window", -1.0),
+    ("engage_after", 0),
+    ("recover_after", 0),
+    ("stale_ttl", -1.0),
+    ("stale_ttl", NAN),
+    ("partition_seed", -1),
+])
+def test_config_rejects_values_that_hang_or_corrupt_a_run(field, value):
+    with pytest.raises(ServeSpecError, match=field):
+        ServeConfig(**{field: value})

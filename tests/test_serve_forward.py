@@ -3,9 +3,9 @@
 Inference never runs the backward half of a training plan.  These
 tests pin the contract of :mod:`repro.serve.forward`: the forward
 byte count is exactly half the round trip, the backward accessor is a
-typed error, batch restriction keeps tree shapes while dropping
-unneeded vertices, and the batch fingerprint is a pure function of
-(plan name, unique vertex set).
+typed error, a batch's subgraph holds exactly its seeds' fresh
+cross-partition in-edges, and every priced batch plan delivers a row
+to exactly the devices that read it.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from repro.core import CommRelation, SPSTPlanner
 from repro.errors import ForwardOnlyPlanError
 from repro.graph.generators import rmat
 from repro.partition import partition
+from repro.sampling import BatchPlanner
+from repro.serve import build_scenario, server
 from repro.serve.forward import (
     ForwardOnlyPlan,
-    batch_fingerprint,
+    cross_in_edges,
     forward_only,
     plan_connections,
     restrict_forward,
@@ -69,42 +71,84 @@ class TestForwardOnly:
 
 
 class TestRestrictForward:
-    def test_subset_of_vertices_and_units(self, workload):
-        graph, _, plan = workload
-        keep = np.arange(0, graph.num_vertices, 3, dtype=np.int64)
-        sub = restrict_forward(plan, keep)
-        assert _units(sub.tuples()) <= _units(forward_only(plan).tuples())
-        # every remaining route carries only requested rows
-        for route in sub.routes:
-            assert np.isin(route.vertices, keep).all()
+    def test_keeps_fresh_cross_partition_in_edges(self, workload):
+        graph, topo, _ = workload
+        owner = partition(graph, topo.num_devices, seed=0).assignment
+        seeds = np.array([7, 3, 7, 40], dtype=np.int64)
+        tails, heads = cross_in_edges(graph, owner, seeds)
+        assert tails.size and (owner[tails] != owner[heads]).all()
+        fresh = np.unique(tails)[::2]
+        sub = restrict_forward(graph, owner, seeds, fresh)
+        src, dst = sub.graph.edges
+        kept = {(int(sub.vertices[u]), int(sub.vertices[v]))
+                for u, v in zip(src, dst)}
+        assert kept == {(int(u), int(v)) for u, v in zip(tails, heads)
+                        if u in fresh}
+        assert sub.seeds.tolist() == sorted({v for _, v in kept})
 
-    def test_empty_restriction_has_no_routes(self, workload):
-        _, _, plan = workload
-        sub = restrict_forward(plan, np.empty(0, dtype=np.int64))
-        assert len(sub.routes) == 0
-        assert _units(sub.tuples()) == 0
-        assert sub.name == f"{plan.name}+batch"
-
-    def test_unsorted_input_is_normalised(self, workload):
-        graph, _, plan = workload
-        keep = np.array([5, 1, 9, 1, 5], dtype=np.int64)
-        a = restrict_forward(plan, keep)
-        b = restrict_forward(plan, np.array([1, 5, 9], dtype=np.int64))
-        assert _units(a.tuples()) == _units(b.tuples())
+    def test_no_fresh_rows_is_an_empty_batch(self, workload):
+        graph, topo, _ = workload
+        owner = partition(graph, topo.num_devices, seed=0).assignment
+        sub = restrict_forward(graph, owner, np.array([7, 3]),
+                               np.empty(0, dtype=np.int64))
+        assert sub.num_edges == 0 and sub.num_vertices == 0
 
 
-class TestBatchFingerprint:
-    def test_invariant_under_shuffle_and_duplication(self):
-        base = np.array([4, 1, 7], dtype=np.int64)
-        fp = batch_fingerprint("spst+forward", base)
-        assert fp == batch_fingerprint(
-            "spst+forward", np.array([7, 4, 1, 4, 4], dtype=np.int64)
-        )
+def _reader_pairs(graph, owner, seeds):
+    """(row, device) pairs a one-layer pass over ``seeds`` reads remotely,
+    by a plain scan of every seed's in-neighbours."""
+    pairs = set()
+    for s in seeds.tolist():
+        lo, hi = graph.in_indptr[s], graph.in_indptr[s + 1]
+        for u in graph.in_indices[lo:hi].tolist():
+            if owner[u] != owner[s]:
+                pairs.add((u, int(owner[s])))
+    return pairs
 
-    def test_sensitive_to_name_and_vertices(self):
-        base = np.array([4, 1, 7], dtype=np.int64)
-        fp = batch_fingerprint("spst+forward", base)
-        assert fp != batch_fingerprint("mst+forward", base)
-        assert fp != batch_fingerprint(
-            "spst+forward", np.array([4, 1, 8], dtype=np.int64)
-        )
+
+class TestBatchPlansDeliverOnlyToReaders:
+    """Paper §4.1: the allgather sends a row only to the devices hosting
+    a vertex that reads it.  Every priced serve batch plan must deliver
+    exactly the (row, reader device) pairs of its seeds' in-edges."""
+
+    @pytest.mark.parametrize("scenario", ["poisson", "hotspot"])
+    def test_every_priced_plan_delivers_exactly_to_readers(
+        self, scenario, monkeypatch
+    ):
+        planned, batches = [], []
+        plan_batch = BatchPlanner.plan_batch
+        dispatch = server._RunState.dispatch
+
+        def spy_plan(self, batch):
+            out = plan_batch(self, batch)
+            planned.append(out)
+            return out
+
+        def spy_dispatch(self, batch):
+            seeds = np.unique(np.concatenate(
+                [r.vertices for r in batch.requests]
+            ))
+            first = len(planned)
+            dispatch(self, batch)
+            batches.append((seeds, planned[first:]))
+
+        monkeypatch.setattr(BatchPlanner, "plan_batch", spy_plan)
+        monkeypatch.setattr(server._RunState, "dispatch", spy_dispatch)
+        session = build_scenario(scenario)
+        report = session.run(seed=0)
+        # No replica or fault split here: every remote read moves.
+        assert report.stale_rows == 0 and not report.fault_log
+        assert planned, "no batch was planned through the BatchPlanner"
+        owner = session.full.assignment
+        for seeds, plans in batches:
+            expected = _reader_pairs(session.graph, owner, seeds)
+            assert len(plans) == (1 if expected else 0)
+            for out in plans:
+                rows = out.subgraph.vertices
+                delivered = {
+                    (int(rows[v]), int(d))
+                    for route in out.plan.routes
+                    for v in route.vertices
+                    for d in route.destinations
+                }
+                assert delivered == expected
