@@ -5,16 +5,18 @@ planning and (2) auto-tune candidate pricing through
 ``evaluate_scheme``.  This benchmark times that pipeline on the Table-8
 workload (all four dataset twins at 16 GPUs) two ways:
 
-* **old** — the scalar planner engine plus event-fidelity pricing (the
-  flow-level simulation) for every candidate;
-* **new** — the vectorized planner engine plus cost-only pricing
-  (stage times straight from the traffic matrix), the mode the tuner's
-  halving rungs use.
+* **old** — the scalar per-edge SPST oracle (``tests/spst_oracle.py``)
+  plus event-fidelity pricing (the flow-level simulation) for every
+  candidate;
+* **new** — :class:`~repro.core.spst.SPSTPlanner`'s vectorized tree
+  growth plus cost-only pricing (stage times straight from the traffic
+  matrix), the mode the tuner's halving rungs use.
 
-The two are interchangeable by construction: the engines emit identical
-plans (asserted here via staged costs; tree-level equality is pinned in
-``tests/test_engine_equivalence.py``) and cost-only pricing is the
-rank-correlated screen whose winner is re-priced at event fidelity.
+The two are interchangeable by construction: the planners emit
+identical plans (asserted here via staged costs; tree-level equality is
+pinned in ``tests/test_engine_equivalence.py``) and cost-only pricing
+is the rank-correlated screen whose winner is re-priced at event
+fidelity.
 
 The artifact lands in ``benchmarks/results/BENCH_fastpath.json``.
 Set ``FASTPATH_SMOKE=1`` to run the reduced CI-smoke scale (web-google
@@ -31,6 +33,7 @@ from repro.core.spst import SPSTPlanner
 
 from benchmarks.conftest import get_workload, shared_topology, write_table
 from benchmarks.emit_json import emit_json
+from tests import spst_oracle
 
 SMOKE = os.environ.get("FASTPATH_SMOKE", "") == "1"
 
@@ -63,14 +66,18 @@ SPEEDUP_FLOOR = 5.0
 REPS = 1 if SMOKE else 2
 
 
-def _plan_seconds(dataset: str, engine: str) -> tuple:
+def _plan_seconds(dataset: str, scalar: bool) -> tuple:
     w = get_workload(dataset, "gcn", NUM_GPUS)
     w.relation  # partition + relation building priced separately
-    planner = SPSTPlanner(shared_topology(NUM_GPUS), seed=0, engine=engine)
+    topology = shared_topology(NUM_GPUS)
+    planner = SPSTPlanner(topology, seed=0)
     best, plan = float("inf"), None
     for _ in range(REPS):
         start = time.perf_counter()
-        plan = planner.plan(w.relation)
+        if scalar:
+            plan = spst_oracle.plan(topology, w.relation, seed=0)
+        else:
+            plan = planner.plan(w.relation)
         best = min(best, time.perf_counter() - start)
     return best, plan
 
@@ -94,8 +101,8 @@ def _pricing_seconds(dataset: str, fidelity: str) -> float:
 def test_fastpath_offline_pipeline():
     per_dataset = {}
     for dataset in DATASETS:
-        scalar_s, scalar_plan = _plan_seconds(dataset, "scalar")
-        vec_s, vec_plan = _plan_seconds(dataset, "vectorized")
+        scalar_s, scalar_plan = _plan_seconds(dataset, scalar=True)
+        vec_s, vec_plan = _plan_seconds(dataset, scalar=False)
         # interchangeability: identical staged costs (trees are pinned
         # bit-for-bit in tests/test_engine_equivalence.py)
         assert scalar_plan.cost_model().stage_times() \
@@ -144,9 +151,9 @@ def test_fastpath_offline_pipeline():
          "price event", "price cost", "pipeline x"],
         rows,
         notes=(
-            "old = scalar engine + event-fidelity pricing; new = "
-            "vectorized engine + cost-only pricing (halving-rung mode). "
-            "Engines emit identical plans; cost pricing is the tuner's "
+            "old = scalar SPST oracle + event-fidelity pricing; new = "
+            "vectorized SPST + cost-only pricing (halving-rung mode). "
+            "Both planners emit identical plans; cost pricing is the tuner's "
             f"screening fidelity. Times are min of {REPS} run(s)."
         ),
     )

@@ -1,7 +1,7 @@
 """The DGCL user-facing API (paper §4.2 and Listing 1).
 
-The session-first surface is the recommended entry point — a
-:class:`DGCLSession` is a context manager that guarantees cleanup::
+The entry point is :func:`session`; the :class:`DGCLSession` it returns
+is a context manager that guarantees cleanup::
 
     import repro.api as dgcl
 
@@ -11,10 +11,6 @@ The session-first surface is the recommended entry point — a
         for layer in model.layers:
             embeddings = s.graph_allgather(local_feats)
             ...                              # single-GPU layer per device
-
-The module-global ``init()``/``shutdown()`` pair mirrors the paper's
-Listing 1 verbatim and stays as a thin shim over one process-global
-session.
 """
 
 from __future__ import annotations
@@ -54,21 +50,8 @@ __all__ = [
     "DGCLSession",
     "PlanReport",
     "session",
-    "init",
-    "build_comm_info",
-    "dispatch_features",
-    "graph_allgather",
-    "scatter_gradients",
-    "local_graphs",
-    "communication_plan",
-    "tune",
-    "inject_faults",
-    "fault_log",
-    "arm_telemetry",
-    "profile",
     "serve",
     "register_scheme",
-    "shutdown",
 ]
 
 #: The historical session vocabulary, kept for compatibility.  The live
@@ -77,9 +60,6 @@ __all__ = [
 #: :func:`repro.schemes.session_strategy_names`; a session's
 #: ``strategy=`` is validated against the registry, not this tuple.
 SESSION_STRATEGIES = ("spst", "p2p", "auto")
-
-#: SPST planner engines a session accepts.
-SESSION_ENGINES = ("scalar", "vectorized")
 
 #: Executor fidelities a session accepts.
 SESSION_FIDELITIES = ("event", "cost")
@@ -93,13 +73,12 @@ class PlanReport:
     (``communication_plan()`` returns the same object for Listing-1
     compatibility); the rest records how it was produced: where it came
     from (``plan_source``: "planned", "cache", "patched" or
-    "replanned"), which planner engine and executor fidelity were in
-    effect, and the staged cost breakdown in unit-seconds.
+    "replanned"), which executor fidelity was in effect, and the staged
+    cost breakdown in unit-seconds.
     """
 
     plan: CommPlan
     plan_source: str
-    engine: str
     fidelity: str
     stage_costs: Tuple[float, ...]
     total_cost: float
@@ -113,7 +92,6 @@ class PlanReport:
         """JSON-able summary (without the plan object)."""
         return {
             "plan_source": self.plan_source,
-            "engine": self.engine,
             "fidelity": self.fidelity,
             "stage_costs": list(self.stage_costs),
             "total_cost": self.total_cost,
@@ -146,15 +124,10 @@ class DGCLSession:
         fault_plan: Optional[FaultPlan] = None,
         strategy: str = "spst",
         plan_cache=None,
-        engine: str = "vectorized",
         fidelity: str = "event",
         elastic: Optional[ElasticPolicy] = None,
     ) -> None:
         resolve_strategy(strategy)  # raises UnknownSchemeError if invalid
-        if engine not in SESSION_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; available: {SESSION_ENGINES}"
-            )
         if fidelity not in SESSION_FIDELITIES:
             raise ValueError(
                 f"unknown fidelity {fidelity!r}; "
@@ -172,8 +145,6 @@ class DGCLSession:
         #: Planned transitions this session ran, in order.
         self.transitions: List[TransitionReport] = []
         self.strategy = strategy
-        #: SPST planner engine for plans built by this session.
-        self.engine = engine
         #: Executor fidelity for this session's collectives.
         self.fidelity = fidelity
         #: True once :meth:`shutdown` ran; the session refuses new work.
@@ -232,10 +203,8 @@ class DGCLSession:
         """Release the session's runtime state; safe to call twice.
 
         Drops the compiled allgather, plan, relation, fault injector and
-        telemetry sinks, and — when this session is the module-global
-        one — deregisters it, so ``init()``-style code cannot keep using
-        a dead session by accident.  Subsequent planning or collective
-        calls raise ``RuntimeError``.
+        telemetry sinks.  Subsequent planning or collective calls raise
+        ``RuntimeError``.
         """
         if self.closed:
             return
@@ -246,9 +215,6 @@ class DGCLSession:
         self.plan_source = None
         self.injector = None
         self.telemetry = Telemetry()
-        global _SESSION
-        if _SESSION is self:
-            _SESSION = None
 
     def _check_open(self) -> None:
         if self.closed:
@@ -357,7 +323,6 @@ class DGCLSession:
         seed: int = 0,
         chunks_per_class: int = 4,
         strategy: Optional[str] = None,
-        engine: Optional[str] = None,
         tune_kwargs: Optional[dict] = None,
     ) -> PlanReport:
         """Partition the graph, build the relation, and plan.
@@ -365,8 +330,8 @@ class DGCLSession:
         Mirrors ``dgcl.buildCommInfo(graph, topology)``: afterwards the
         session can dispatch features and run graphAllgather.  All
         options after the graph are keyword-only.  Pass an explicit
-        ``assignment`` to bring your own partitioner; ``strategy`` and
-        ``engine`` override the session defaults for this call.
+        ``assignment`` to bring your own partitioner; ``strategy``
+        overrides the session default for this call.
 
         Returns a :class:`PlanReport`; the bare plan stays available as
         ``report.plan`` and through :meth:`communication_plan`.
@@ -381,11 +346,6 @@ class DGCLSession:
         self._check_open()
         strategy = strategy or self.strategy
         spec = resolve_strategy(strategy)  # None for "auto"
-        engine = engine or self.engine
-        if engine not in SESSION_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; available: {SESSION_ENGINES}"
-            )
         # Remember how this plan was asked for, so an elastic transition
         # can replay the build on the re-sized topology.  An explicit
         # assignment is deliberately not replayed: transitions repartition.
@@ -394,7 +354,6 @@ class DGCLSession:
             "seed": seed,
             "chunks_per_class": chunks_per_class,
             "strategy": strategy,
-            "engine": engine,
             "tune_kwargs": tune_kwargs,
         }
         self._derived_partition = None
@@ -403,8 +362,8 @@ class DGCLSession:
                 graph, self.topology, seed=seed
             ).assignment
             self._derived_partition = (graph, seed, self.topology)
-        assignment = np.asarray(assignment, dtype=np.int64)
         self.relation = CommRelation(graph, assignment, self.topology.num_devices)
+        assignment = self.relation.assignment
 
         self.tune_report = None  # only a build that tunes repopulates it
         meta = {"strategy": strategy}
@@ -439,14 +398,14 @@ class DGCLSession:
             if spec.name in ("dgcl", "dgcl-cache"):
                 planner = SPSTPlanner(
                     self.topology, chunks_per_class=chunks_per_class,
-                    seed=seed, engine=engine,
+                    seed=seed,
                 )
                 return planner.plan(self.relation)
             # Any other plan-based registry scheme (CAGNET trees, delayed
             # aggregation, custom registrations) compiles via its builder.
             return spec.build_plan(
                 self.relation, self.topology,
-                chunks_per_class=chunks_per_class, seed=seed, engine=engine,
+                chunks_per_class=chunks_per_class, seed=seed,
             )
 
         cache = self.plan_cache
@@ -456,11 +415,9 @@ class DGCLSession:
             chunks_per_class=chunks_per_class, seed=seed, meta=meta,
         )
         self._cache_key = resolution.key
-        return self._install_plan(resolution.plan, resolution.source, engine)
+        return self._install_plan(resolution.plan, resolution.source)
 
-    def _install_plan(
-        self, plan: CommPlan, source: str, engine: str
-    ) -> PlanReport:
+    def _install_plan(self, plan: CommPlan, source: str) -> PlanReport:
         """Activate a plan, compile the runtime, and report on it."""
         self.plan = plan
         self.plan_source = source
@@ -469,7 +426,6 @@ class DGCLSession:
         return PlanReport(
             plan=plan,
             plan_source=source,
-            engine=engine,
             fidelity=self.fidelity,
             stage_costs=tuple(model.stage_times()),
             total_cost=model.total_cost(),
@@ -778,7 +734,6 @@ class DGCLSession:
                 seed=args["seed"],
                 chunks_per_class=args["chunks_per_class"],
                 strategy=args["strategy"],
-                engine=args["engine"],
                 tune_kwargs=args["tune_kwargs"],
             )
             plan_source = report.plan_source
@@ -824,131 +779,27 @@ class DGCLSession:
         return report
 
 
-_SESSION: Optional[DGCLSession] = None
-
-
 def session(
     topology: Topology,
     *,
     fault_plan: Optional[FaultPlan] = None,
     strategy: str = "spst",
     plan_cache=None,
-    engine: str = "vectorized",
     fidelity: str = "event",
     elastic: Optional[ElasticPolicy] = None,
 ) -> DGCLSession:
-    """Create a standalone session — the recommended entry point.
+    """Create a session — the entry point of the API.
 
     Use it as a context manager so shutdown is guaranteed even when the
     body raises::
 
         with dgcl.session(topology, strategy="auto") as s:
             report = s.build_comm_info(graph)
-
-    Unlike :func:`init`, the session is *not* registered as the module
-    global; the Listing-1 module functions keep operating on whatever
-    ``init()`` installed.
     """
     return DGCLSession(
         topology, fault_plan=fault_plan, strategy=strategy,
-        plan_cache=plan_cache, engine=engine, fidelity=fidelity,
-        elastic=elastic,
+        plan_cache=plan_cache, fidelity=fidelity, elastic=elastic,
     )
-
-
-def init(
-    topology: Topology,
-    fault_plan: Optional[FaultPlan] = None,
-    strategy: str = "spst",
-    plan_cache=None,
-    engine: str = "vectorized",
-    fidelity: str = "event",
-    elastic: Optional[ElasticPolicy] = None,
-) -> DGCLSession:
-    """Initialise the global environment (thin shim over a session)."""
-    global _SESSION
-    _SESSION = session(
-        topology, fault_plan=fault_plan, strategy=strategy,
-        plan_cache=plan_cache, engine=engine, fidelity=fidelity,
-        elastic=elastic,
-    )
-    return _SESSION
-
-
-def _session() -> DGCLSession:
-    if _SESSION is None:
-        raise RuntimeError("call repro.api.init(topology) first")
-    return _SESSION
-
-
-def build_comm_info(graph: Graph, **kwargs) -> PlanReport:
-    """Partition, build the communication relation, and plan (SPST).
-
-    Returns a :class:`PlanReport`; use :func:`communication_plan` for
-    the bare plan (Listing-1 compatibility).
-    """
-    return _session().build_comm_info(graph, **kwargs)
-
-
-def dispatch_features(features: np.ndarray) -> List[np.ndarray]:
-    """Scatter global features to their owning devices."""
-    return _session().dispatch_features(features)
-
-
-def graph_allgather(local_embeddings: List[np.ndarray]) -> List[np.ndarray]:
-    """The paper's core collective: gather local + remote rows."""
-    return _session().graph_allgather(local_embeddings)
-
-
-def scatter_gradients(full_grads: List[np.ndarray]) -> List[np.ndarray]:
-    """Reverse collective for the backward pass."""
-    return _session().scatter_gradients(full_grads)
-
-
-def local_graphs() -> List[LocalGraph]:
-    """Per-device re-indexed graphs for single-GPU style training."""
-    return _session().local_graphs()
-
-
-def communication_plan() -> CommPlan:
-    """The active communication plan (after build_comm_info)."""
-    plan = _session().plan
-    if plan is None:
-        raise RuntimeError("call build_comm_info() first")
-    return plan
-
-
-def tune(graph: Graph, **kwargs):
-    """Auto-tune the communication scheme for ``graph`` on the session
-    topology; returns a :class:`~repro.autotune.tuner.TuneReport`."""
-    return _session().tune(graph, **kwargs)
-
-
-def inject_faults(fault_plan) -> FaultInjector:
-    """Attach a fault plan (object or JSON path) to the session."""
-    return _session().inject_faults(fault_plan)
-
-
-def fault_log() -> FaultLog:
-    """The session's fault log (empty without injected faults)."""
-    return _session().fault_log
-
-
-def arm_telemetry(
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    auditor: Optional[CostModelAuditor] = None,
-    recorder: Optional[FlightRecorder] = None,
-) -> DGCLSession:
-    """Arm span/metric/audit/profile recording on the global session."""
-    return _session().arm_telemetry(
-        tracer=tracer, metrics=metrics, auditor=auditor, recorder=recorder
-    )
-
-
-def profile(meta: Optional[Dict[str, object]] = None) -> RunProfile:
-    """Profile the global session's recorded collectives."""
-    return _session().profile(meta=meta)
 
 
 def serve(
@@ -992,10 +843,3 @@ def serve(
     )
     return campaign.run(seed=seed, fault_plan=fault_plan)
 
-
-def shutdown() -> None:
-    """Tear down the global session (thin shim over its shutdown)."""
-    global _SESSION
-    if _SESSION is not None:
-        _SESSION.shutdown()  # also deregisters itself from the module
-    _SESSION = None

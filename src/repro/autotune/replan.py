@@ -188,7 +188,7 @@ def incremental_replan(
 
     # 3. regrow the stale routes against the reused trees' traffic.
     try:
-        repaired, degraded = regrow_routes(topology, kept, broken, seed=seed)
+        repaired = regrow_routes(topology, kept, broken, seed=seed)
     except UnrecoverableFaultError:
         plan = _full_replan(relation, topology, chunks_per_class, seed, name)
         return ReplanResult(
@@ -199,7 +199,7 @@ def incremental_replan(
             baseline_cost=baseline,
         )
 
-    patched = CommPlan(topology, kept + repaired + degraded, name=name)
+    patched = CommPlan(topology, kept + repaired, name=name)
     cost = plan_cost(patched)
     if baseline is not None and cost > threshold * float(baseline):
         # Drift too large: surgery produced a worse plan than the donor
@@ -209,7 +209,7 @@ def incremental_replan(
             plan=plan,
             source="replanned",
             reused_routes=len(kept),
-            regrown_routes=len(repaired) + len(degraded),
+            regrown_routes=len(repaired),
             dropped_routes=dropped,
             patched_cost=plan_cost(plan),
             baseline_cost=baseline,
@@ -218,7 +218,7 @@ def incremental_replan(
         plan=patched,
         source="patched",
         reused_routes=len(kept),
-        regrown_routes=len(repaired) + len(degraded),
+        regrown_routes=len(repaired),
         dropped_routes=dropped,
         patched_cost=cost,
         baseline_cost=baseline,

@@ -25,7 +25,7 @@ the ``O(|E'| log |E'|)`` refinement the paper sketches at the end of
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -189,8 +189,9 @@ class DenseCostState:
     Every arithmetic expression matches :class:`StagedCostModel`
     operation for operation on IEEE doubles — ``(traffic + units) /
     bandwidth`` then ``max`` then subtract — so the two accumulators
-    produce bit-identical costs and the engines' plans are provably
-    interchangeable (asserted by the equivalence tests).
+    produce bit-identical costs, and SPST's plans equal those of a
+    per-edge Dijkstra over :class:`StagedCostModel` (asserted against
+    the scalar oracle by the equivalence tests).
     """
 
     def __init__(self, topology: Topology, num_stages: Optional[int] = None) -> None:
@@ -236,7 +237,7 @@ class DenseCostState:
 
         #: parallel links between one device pair collapse to a single
         #: relaxation candidate: the strictly cheapest link, first one
-        #: on ties — exactly what the reference engine's sequential
+        #: on ties — exactly what a per-edge Dijkstra's sequential
         #: strict-improvement relaxation keeps.
         pair_index: Dict[Tuple[int, int], int] = {}
         self.pair_of_link: List[int] = []
@@ -402,11 +403,34 @@ class DenseCostState:
 
     def add_link(self, link_id: int, stage: int, units: float) -> None:
         """Commit ``units`` over link ``link_id`` at ``stage``."""
+        self._charge(self._link_hops[link_id], stage, units)
+
+    def add_path(self, edges: Iterable[Tuple[Link, int]], units: float) -> None:
+        """Commit every ``(link, stage)`` edge of a path, by connection name.
+
+        The edges' :class:`Link` objects may belong to another
+        :class:`Topology` object than this state's (a route kept across
+        a topology filter): each hop is charged to this state's
+        connection of the same name, exactly like
+        :meth:`StagedCostModel.add_path`.
+        """
+        conn_index = self._conn_index
+        for link, stage in edges:
+            if not 0 <= stage < self.num_stages:
+                raise ValueError(
+                    f"stage {stage} out of range [0, {self.num_stages})"
+                )
+            self._charge(
+                [conn_index[c.name] for c in link.connections], stage, units
+            )
+
+    def _charge(self, hops: List[int], stage: int, units: float) -> None:
+        """Add ``units`` on every hop connection id of one edge at ``stage``."""
         row = self._T[stage]
         mirror = self._T_rows[stage]
         stage_time = before = self._stage_time[stage]
         inv_bw = self._inv_bw_list
-        for conn in self._link_hops[link_id]:
+        for conn in hops:
             new = mirror[conn] + units
             mirror[conn] = new
             row[conn] = new
@@ -418,7 +442,7 @@ class DenseCostState:
             self._epoch[stage] += 1
             self._dirty[stage].clear()
         else:
-            self._dirty[stage].extend(self._link_hops[link_id])
+            self._dirty[stage].extend(hops)
 
     def remove_link(self, link_id: int, stage: int, units: float) -> None:
         """Withdraw committed traffic (plan refinement's undo)."""

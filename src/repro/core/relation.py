@@ -22,6 +22,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.errors import PartitionSpecError
 from repro.graph.csr import Graph
 
 __all__ = ["MulticastClass", "LocalGraph", "CommRelation"]
@@ -77,15 +78,48 @@ class LocalGraph:
         return rows
 
 
+def _checked_labels(
+    assignment: np.ndarray, num_vertices: int, num_devices: int
+) -> np.ndarray:
+    """``assignment`` as int64 device labels, or :class:`PartitionSpecError`.
+
+    Every vertex needs exactly one label, and every label must be an
+    integral device id in ``[0, num_devices)``: a negative label would
+    drop its vertex from every device, a fractional one would be
+    silently truncated.
+    """
+    labels = np.asarray(assignment)
+    if labels.ndim != 1 or labels.size != num_vertices:
+        raise PartitionSpecError(
+            f"assignment must label every vertex: expected shape "
+            f"({num_vertices},), got {labels.shape}"
+        )
+    if not labels.size:
+        return labels.astype(np.int64)
+    if labels.dtype.kind == "f":
+        if not (np.isfinite(labels).all() and (labels == np.floor(labels)).all()):
+            raise PartitionSpecError(
+                "assignment labels must be integral device ids"
+            )
+    elif labels.dtype.kind not in "iu":
+        raise PartitionSpecError(
+            f"assignment labels must be integral device ids, "
+            f"got dtype {labels.dtype}"
+        )
+    low, high = labels.min(), labels.max()
+    if low < 0 or high >= num_devices:
+        raise PartitionSpecError(
+            f"assignment references an unknown device: labels span "
+            f"[{low}, {high}], devices are 0..{num_devices - 1}"
+        )
+    return labels.astype(np.int64, copy=False)
+
+
 class CommRelation:
     """The full communication relation of a partitioned graph."""
 
     def __init__(self, graph: Graph, assignment: np.ndarray, num_devices: int) -> None:
-        assignment = np.asarray(assignment, dtype=np.int64)
-        if assignment.size != graph.num_vertices:
-            raise ValueError("assignment must label every vertex")
-        if assignment.size and assignment.max() >= num_devices:
-            raise ValueError("assignment references an unknown device")
+        assignment = _checked_labels(assignment, graph.num_vertices, num_devices)
         self.graph = graph
         self.assignment = assignment
         self.num_devices = num_devices

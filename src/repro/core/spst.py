@@ -28,21 +28,18 @@ equal chunks planned as weighted units.  Chunks of one class may take
 different trees, preserving the per-vertex load-balancing freedom the
 paper argues for (§5.1) at a fraction of the planning cost.
 
-Engines
--------
-Two interchangeable engines grow the trees:
-
-* ``engine="scalar"`` — the reference implementation: per-edge
-  :meth:`StagedCostModel.incremental_cost` calls inside a heap Dijkstra.
-* ``engine="vectorized"`` (default) — the fast path: the same Dijkstra
-  (same shuffle, same heap tie-breaking, same commits) fed from
-  :class:`~repro.core.cost_model.DenseCostState`, which materialises
-  Algorithm 2's ``C(i, ·)`` one whole stage-row at a time with NumPy
-  and memoises rows until a commit dirties the stage.
-
-Both engines perform identical IEEE-double arithmetic in an identical
-order, so they return *identical* plans — the scalar engine stays the
-oracle the equivalence tests check the fast path against.
+Engine
+------
+One engine grows every tree — cold plans here, and the regrowth of
+broken routes in :func:`repro.faults.repair.regrow_routes` (fault
+repair, plan-cache patching, elastic handoffs).  It is a heap Dijkstra
+fed from :class:`~repro.core.cost_model.DenseCostState`, which
+materialises Algorithm 2's ``C(i, ·)`` one whole stage-row at a time
+with NumPy and memoises rows until a commit dirties the stage.  Its
+arithmetic matches the per-edge staged cost model of
+:mod:`repro.core.cost_model` operation for operation, so the tests
+check its plans bit for bit against a scalar per-edge oracle
+(``tests/spst_oracle.py``).
 """
 
 from __future__ import annotations
@@ -53,10 +50,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cost_model import DenseCostState, StagedCostModel
+from repro.core.cost_model import DenseCostState
 from repro.core.plan import CommPlan, VertexClassRoute
 from repro.core.relation import CommRelation, MulticastClass
-from repro.topology.topology import Link, Topology
+from repro.topology.topology import Topology
 
 __all__ = ["SPSTPlanner", "PlanUnit"]
 
@@ -89,10 +86,6 @@ class SPSTPlanner:
         each multicast class is split into.
     seed:
         Shuffle seed; the paper shuffles vertices before planning.
-    engine:
-        ``"vectorized"`` (default) for the NumPy row-batched fast path,
-        ``"scalar"`` for the reference per-edge implementation.  Both
-        produce identical plans.
     """
 
     def __init__(
@@ -102,7 +95,6 @@ class SPSTPlanner:
         chunks_per_class: int = 4,
         seed: int = 0,
         refine_passes: int = 0,
-        engine: str = "vectorized",
     ) -> None:
         if granularity not in ("vertex", "chunk"):
             raise ValueError("granularity must be 'vertex' or 'chunk'")
@@ -110,14 +102,11 @@ class SPSTPlanner:
             raise ValueError("chunks_per_class must be positive")
         if refine_passes < 0:
             raise ValueError("refine_passes must be non-negative")
-        if engine not in ("scalar", "vectorized"):
-            raise ValueError("engine must be 'scalar' or 'vectorized'")
         self.topology = topology
         self.granularity = granularity
         self.chunks_per_class = chunks_per_class
         self.seed = seed
         self.refine_passes = refine_passes
-        self.engine = engine
 
     # ------------------------------------------------------------------
     def _units(self, classes: Sequence[MulticastClass]) -> List[PlanUnit]:
@@ -148,90 +137,26 @@ class SPSTPlanner:
         order = rng.permutation(len(units))
         return [units[i] for i in order]
 
-    def _grow_tree(
-        self, model: StagedCostModel, unit: PlanUnit
-    ) -> List[Tuple[Link, int]]:
-        """Algorithm 1's inner loop for one unit; commits into ``model``."""
-        depth: Dict[int, int] = {unit.source: 0}
-        remaining = set(unit.destinations)
-        remaining.discard(unit.source)
-        tree_edges: List[Tuple[Link, int]] = []
-        links_from = self.topology.links_from
-
-        while remaining:
-            # Multi-source Dijkstra from every current tree node.
-            dist: Dict[int, float] = {node: 0.0 for node in depth}
-            node_depth: Dict[int, int] = dict(depth)
-            parent: Dict[int, Tuple[int, Link]] = {}
-            settled: Dict[int, bool] = {}
-            heap: List[Tuple[float, int, int]] = [
-                (0.0, node, depth[node]) for node in depth
-            ]
-            heapq.heapify(heap)
-            target: Optional[int] = None
-            while heap:
-                cost, node, d = heapq.heappop(heap)
-                if settled.get(node):
-                    continue
-                settled[node] = True
-                node_depth[node] = d
-                if node in remaining:
-                    target = node
-                    break
-                if d + 1 >= model.num_stages + 1:
-                    # A path deeper than the stage budget cannot be
-                    # committed; the tree depth is bounded by |V'| - 1.
-                    continue
-                for link in links_from(node):
-                    nxt = link.dst
-                    if settled.get(nxt) or nxt in depth:
-                        continue
-                    if d >= model.num_stages:
-                        continue
-                    new_cost = cost + model.incremental_cost(link, d, unit.weight)
-                    if new_cost < dist.get(nxt, float("inf")):
-                        dist[nxt] = new_cost
-                        parent[nxt] = (node, link)
-                        heapq.heappush(heap, (new_cost, nxt, d + 1))
-            if target is None:
-                raise RuntimeError(
-                    f"destinations {sorted(remaining)} unreachable from "
-                    f"tree of device {unit.source}"
-                )
-
-            # Reconstruct and commit the path.
-            path: List[Tuple[int, Link]] = []
-            node = target
-            while node not in depth:
-                prev, link = parent[node]
-                path.append((prev, link))
-                node = prev
-            path.reverse()
-            d = depth[node]
-            for prev, link in path:
-                model.add(link, d, unit.weight)
-                tree_edges.append((link, d))
-                d += 1
-                depth[link.dst] = d
-                remaining.discard(link.dst)
-        return tree_edges
-
-    # -- vectorized engine ---------------------------------------------
-    def _grow_tree_fast(
-        self,
-        state: DenseCostState,
-        unit: PlanUnit,
-        out: List[List[Tuple[int, int]]],
+    def grow_tree(
+        self, state: DenseCostState, unit: PlanUnit
     ) -> List[Tuple[int, int]]:
-        """The scalar Dijkstra fed from memoised ``C(stage, ·)`` rows.
+        """Algorithm 1's inner loop for one unit; commits into ``state``.
 
-        Same heap entries, same relaxation guards, same commit order as
-        :meth:`_grow_tree`; the differences are mechanical: edge weights
-        come from pair rows :class:`DenseCostState` computed in bulk
-        (parallel links pre-collapsed to the strictly cheapest,
-        first-on-ties — what sequential strict-improvement relaxation
-        keeps), so the committed tree is identical by construction.
+        Grows ``unit``'s multicast tree against everything ``state``
+        already carries: repeated multi-source Dijkstras from the tree,
+        each committing the cheapest path to a still-unreached
+        destination.  Edge weights come from the memoised
+        ``C(stage, ·)`` pair rows of :class:`DenseCostState` (parallel
+        links pre-collapsed to the strictly cheapest, first on ties —
+        what sequential strict-improvement relaxation keeps).  ``state``
+        must be built on this planner's topology.
+
+        Returns the committed ``(link id, stage)`` edges in commit
+        order.  Raises ``RuntimeError`` when a destination is
+        unreachable within the stage budget; edges committed before
+        that stay in ``state``.
         """
+        out = state.out_pairs
         num_devices = self.topology.num_devices
         links = self.topology.links
         depth: Dict[int, int] = {unit.source: 0}
@@ -260,7 +185,7 @@ class SPSTPlanner:
         seeds: List[Tuple[float, int, int]] = [(0.0, unit.source, 0)]
         while remaining:
             # No explicit blocked set: the strict `<` relaxation guard
-            # already rejects every node the reference engine blocks.
+            # already rejects every node a per-edge Dijkstra would block.
             # Tree seeds sit at dist 0.0 (no non-negative path beats
             # that), and a settled node's dist is final (pops are
             # non-decreasing, weights are >= 0, improvement is strict).
@@ -327,14 +252,25 @@ class SPSTPlanner:
                 remaining.discard(dst)
         return tree_edges
 
-    def _plan_vectorized(self, relation: CommRelation, name: str) -> CommPlan:
+    # ------------------------------------------------------------------
+    def plan(
+        self, relation: CommRelation, name: str = "spst"
+    ) -> CommPlan:
+        """Plan the whole layer's communication for ``relation``.
+
+        With ``refine_passes > 0``, after the greedy pass each unit is
+        repeatedly withdrawn from the cost state and re-routed against
+        everything else — a cheap local-search step that undoes early
+        greedy commitments made against an emptier network.
+        """
+        if relation.num_devices > self.topology.num_devices:
+            raise ValueError("relation references more devices than topology")
         state = DenseCostState(self.topology)
-        out = state.out_pairs
         links = self.topology.links
         units = self._units(relation.classes)
-        edge_ids: List[List[Tuple[int, int]]] = []
-        for unit in units:
-            edge_ids.append(self._grow_tree_fast(state, unit, out))
+        edge_ids: List[List[Tuple[int, int]]] = [
+            self.grow_tree(state, unit) for unit in units
+        ]
 
         rng = np.random.default_rng(self.seed + 1)
         for _ in range(self.refine_passes):
@@ -345,7 +281,7 @@ class SPSTPlanner:
                 before = state.total_cost()
                 for link_id, stage in old_edges:
                     state.remove_link(link_id, stage, unit.weight)
-                new_edges = self._grow_tree_fast(state, unit, out)
+                new_edges = self.grow_tree(state, unit)
                 after = state.total_cost()
                 if after < before - 1e-18:
                     edge_ids[i] = new_edges
@@ -368,58 +304,4 @@ class SPSTPlanner:
             )
             for unit, edges in zip(units, edge_ids)
         ]
-        return CommPlan(self.topology, routes, name=name)
-
-    # ------------------------------------------------------------------
-    def plan(
-        self, relation: CommRelation, name: str = "spst"
-    ) -> CommPlan:
-        """Plan the whole layer's communication for ``relation``.
-
-        With ``refine_passes > 0``, after the greedy pass each unit is
-        repeatedly withdrawn from the cost state and re-routed against
-        everything else — a cheap local-search step that undoes early
-        greedy commitments made against an emptier network.
-        """
-        if relation.num_devices > self.topology.num_devices:
-            raise ValueError("relation references more devices than topology")
-        if self.engine == "vectorized":
-            return self._plan_vectorized(relation, name)
-        model = StagedCostModel(self.topology)
-        units = self._units(relation.classes)
-        routes: List[VertexClassRoute] = []
-        for unit in units:
-            edges = self._grow_tree(model, unit)
-            routes.append(
-                VertexClassRoute(
-                    source=unit.source,
-                    destinations=unit.destinations,
-                    vertices=unit.vertices,
-                    edges=tuple(edges),
-                )
-            )
-
-        rng = np.random.default_rng(self.seed + 1)
-        for _ in range(self.refine_passes):
-            improved = False
-            for i in rng.permutation(len(routes)):
-                route = routes[i]
-                before = model.total_cost()
-                model.remove_path(list(route.edges), route.weight)
-                edges = self._grow_tree(model, units[i])
-                after = model.total_cost()
-                if after < before - 1e-18:
-                    routes[i] = VertexClassRoute(
-                        source=route.source,
-                        destinations=route.destinations,
-                        vertices=route.vertices,
-                        edges=tuple(edges),
-                    )
-                    improved = True
-                elif tuple(edges) != route.edges:
-                    # The re-route was not better: restore the original.
-                    model.remove_path(edges, route.weight)
-                    model.add_path(list(route.edges), route.weight)
-            if not improved:
-                break
         return CommPlan(self.topology, routes, name=name)

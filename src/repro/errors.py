@@ -61,7 +61,10 @@ class PartitionSpecError(ReproError, ValueError):
     :func:`~repro.partition.hierarchical_partition` when ``num_parts`` is
     not an integer in ``[1, n]``, ``balance_factor`` is not a finite
     number of at least 1, or ``seed`` is not a non-negative integer —
-    instead of a lopsided partition or an untyped numpy error.
+    instead of a lopsided partition or an untyped numpy error.  Also
+    raised by :class:`~repro.core.relation.CommRelation` (and so by a
+    session's ``build_comm_info(assignment=...)``) when a partition's
+    labels are not one integral device id per vertex.
     """
 
 

@@ -7,9 +7,8 @@ Two levels of surgery, matching the recovery policies:
   connection are withdrawn and re-grown by the SPST algorithm against
   the cost state of every surviving route, on a topology with the dead
   hardware filtered out — an incremental re-plan that rebuilds only the
-  touched send/receive table entries.  Classes SPST cannot re-route
-  (no surviving path within the stage budget) fall back to *degraded*
-  peer-to-peer stars over direct links; if even that fails the fault is
+  touched send/receive table entries.  A class SPST cannot re-route (no
+  surviving path within the stage budget) makes the fault
   unrecoverable.
 
 * :func:`alternate_path` — the *transfer-level* repair the hardened
@@ -22,10 +21,10 @@ Two levels of surgery, matching the recovery policies:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cost_model import StagedCostModel
+from repro.core.cost_model import DenseCostState
 from repro.core.plan import CommPlan, VertexClassRoute
 from repro.core.spst import PlanUnit, SPSTPlanner
 from repro.errors import ElasticSpecError
@@ -43,12 +42,11 @@ class RepairResult:
 
     plan: CommPlan
     repaired_routes: int = 0
-    degraded_routes: int = 0
     untouched_routes: int = 0
 
     @property
     def touched(self) -> int:
-        return self.repaired_routes + self.degraded_routes
+        return self.repaired_routes
 
 
 def filter_topology(
@@ -120,42 +118,26 @@ def _route_broken(
     return any(_link_key(link) not in alive_keys for link, _ in route.edges)
 
 
-def _degraded_star(topology: Topology, route: VertexClassRoute) -> Optional[VertexClassRoute]:
-    """Peer-to-peer fallback: one direct link per destination, stage 0."""
-    edges: List[Tuple[Link, int]] = []
-    for dst in route.destinations:
-        if dst == route.source:
-            continue
-        link = topology.direct_link(route.source, dst)
-        if link is None:
-            return None
-        edges.append((link, 0))
-    return VertexClassRoute(
-        source=route.source,
-        destinations=route.destinations,
-        vertices=route.vertices,
-        edges=tuple(edges),
-    )
-
-
 def regrow_routes(
     topology: Topology,
     kept: Sequence[VertexClassRoute],
     broken: Sequence[VertexClassRoute],
     seed: int = 0,
-) -> Tuple[List[VertexClassRoute], List[VertexClassRoute]]:
+) -> List[VertexClassRoute]:
     """Re-grow ``broken`` routes against the traffic ``kept`` commits.
 
     The shared engine of plan patching: every kept route's edges are
-    charged into a fresh cost model, then each broken route's multicast
-    tree is re-grown by SPST on ``topology`` against that state — only
-    the broken routes' send/receive table entries change.  Routes SPST
-    cannot serve fall back to peer-to-peer stars over direct links;
-    raises :class:`UnrecoverableFaultError` when even that fails.
-    Both :func:`repair_plan` (mid-training fault recovery) and the
-    autotune incremental replanner route through here.
+    charged into a fresh :class:`~repro.core.cost_model.DenseCostState`
+    on ``topology``, then each broken route's multicast tree is re-grown
+    by the cold planner's :meth:`~repro.core.spst.SPSTPlanner.grow_tree`
+    against that state, each result charged before the next grows —
+    only the broken routes' send/receive table entries change.  Both
+    :func:`repair_plan` (mid-training fault recovery) and the autotune
+    incremental replanner route through here.
 
-    Returns ``(repaired, degraded)`` route lists.  Raises
+    Returns the regrown routes, in ``broken`` order.  Raises
+    :class:`UnrecoverableFaultError` when a broken route has no
+    surviving tree within the stage budget, and
     :class:`~repro.errors.ElasticSpecError` when a broken route's
     endpoints name devices ``topology`` does not have — the caller
     handed a route set and a device set that disagree.
@@ -169,35 +151,31 @@ def regrow_routes(
                 f"device(s) {bad}: topology has {topology.num_devices} devices"
             )
     planner = SPSTPlanner(topology, seed=seed)
-    model = StagedCostModel(topology)
+    state = DenseCostState(topology)
     for route in kept:
-        model.add_path(list(route.edges), route.weight)
+        state.add_path(route.edges, route.weight)
 
+    links = topology.links
     repaired: List[VertexClassRoute] = []
-    degraded: List[VertexClassRoute] = []
     for route in broken:
         unit = PlanUnit(route.source, route.destinations, route.vertices)
         try:
-            edges = planner._grow_tree(model, unit)
-            repaired.append(
-                VertexClassRoute(
-                    source=route.source,
-                    destinations=route.destinations,
-                    vertices=route.vertices,
-                    edges=tuple(edges),
-                )
-            )
+            edges = planner.grow_tree(state, unit)
         except RuntimeError:
-            star = _degraded_star(topology, route)
-            if star is None:
-                raise UnrecoverableFaultError(
-                    f"route {route.source}->{route.destinations}",
-                    attempts=0,
-                    detail="no surviving path, even peer-to-peer",
-                ) from None
-            model.add_path(list(star.edges), star.weight)
-            degraded.append(star)
-    return repaired, degraded
+            raise UnrecoverableFaultError(
+                f"route {route.source}->{route.destinations}",
+                attempts=0,
+                detail="no surviving path",
+            ) from None
+        repaired.append(
+            VertexClassRoute(
+                source=route.source,
+                destinations=route.destinations,
+                vertices=route.vertices,
+                edges=tuple([(links[lid], stage) for lid, stage in edges]),
+            )
+        )
+    return repaired
 
 
 def _validated_elastic_sets(
@@ -353,16 +331,15 @@ def repair_plan(
     elif not broken:
         return RepairResult(plan=plan, untouched_routes=len(plan.routes))
 
-    repaired, degraded = regrow_routes(survivors, kept, broken, seed=seed)
+    repaired = regrow_routes(survivors, kept, broken, seed=seed)
 
     suffix = "expanded" if added else "repaired"
     new_plan = CommPlan(
-        survivors, kept + repaired + degraded, name=f"{plan.name}-{suffix}"
+        survivors, kept + repaired, name=f"{plan.name}-{suffix}"
     )
     return RepairResult(
         plan=new_plan,
         repaired_routes=len(repaired),
-        degraded_routes=len(degraded),
         untouched_routes=len(kept),
     )
 

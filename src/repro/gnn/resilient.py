@@ -337,14 +337,6 @@ class ResilientTrainer:
                     ", ".join(dead_now),
                     f"re-routed {result.repaired_routes} vertex classes",
                 )
-            if result.degraded_routes:
-                self.log.append(
-                    self.clock,
-                    "link",
-                    "degrade",
-                    ", ".join(dead_now),
-                    f"{result.degraded_routes} classes on peer-to-peer stars",
-                )
             overhead += 2 * DEFAULT_CONTROL_LATENCY * max(result.touched, 1)
         else:
             from repro.core.baseline_planners import peer_to_peer_plan

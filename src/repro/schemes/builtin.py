@@ -66,17 +66,16 @@ def generic_plan_cost_fn(name: str) -> Callable:
 # The paper's schemes and the DGCL variants
 # ----------------------------------------------------------------------
 def _spst_builder(relation, topology, *, chunks_per_class=4, seed=0,
-                  engine="vectorized", staleness=0):
+                  staleness=0):
     from repro.core.spst import SPSTPlanner
 
     planner = SPSTPlanner(topology, granularity="chunk",
-                          chunks_per_class=chunks_per_class, seed=seed,
-                          engine=engine)
+                          chunks_per_class=chunks_per_class, seed=seed)
     return planner.plan(relation)
 
 
 def _p2p_builder(relation, topology, *, chunks_per_class=4, seed=0,
-                 engine="vectorized", staleness=0):
+                 staleness=0):
     from repro.core.baseline_planners import peer_to_peer_plan
 
     return peer_to_peer_plan(relation, topology)

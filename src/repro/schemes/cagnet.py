@@ -203,14 +203,13 @@ def cagnet_15d_plan(
     *,
     chunks_per_class: int = 4,
     seed: int = 0,
-    engine: str = "vectorized",
     staleness: int = 0,
 ) -> CommPlan:
     """CAGNET 1.5D: systolic ring-relay broadcast per multicast class.
 
-    The routing knobs (``chunks_per_class``, ``seed``, ``engine``,
-    ``staleness``) are accepted for builder-signature uniformity but
-    cannot change an oblivious ring walk.
+    The routing knobs (``chunks_per_class``, ``seed``, ``staleness``)
+    are accepted for builder-signature uniformity but cannot change an
+    oblivious ring walk.
     """
     return _oblivious_plan(relation, topology, "cagnet-1.5d", _ring_edges)
 
@@ -221,7 +220,6 @@ def cagnet_2d_plan(
     *,
     chunks_per_class: int = 4,
     seed: int = 0,
-    engine: str = "vectorized",
     staleness: int = 0,
 ) -> CommPlan:
     """CAGNET 2D: row-broadcast + column-relay on the process grid."""

@@ -46,7 +46,6 @@ def distgnn_plan(
     *,
     chunks_per_class: int = 4,
     seed: int = 0,
-    engine: str = "vectorized",
     staleness: int = 0,
 ) -> CommPlan:
     """The per-pair partial-aggregate exchange plan (all stages direct).

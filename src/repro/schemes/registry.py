@@ -13,8 +13,8 @@ CLI-visible at once.
 
 A spec carries two callables:
 
-* ``builder(relation, topology, *, chunks_per_class, seed, engine,
-  staleness) -> CommPlan`` — compiles the executable plan (``None``
+* ``builder(relation, topology, *, chunks_per_class, seed, staleness)
+  -> CommPlan`` — compiles the executable plan (``None``
   for evaluation-only schemes like Swap or Replication);
 * ``cost_fn(workload, ctx) -> SchemeResult`` — prices one epoch under
   the staged cost model; ``ctx`` is an :class:`EvalContext` with the
@@ -102,8 +102,7 @@ class SchemeSpec:
         return self.staleness_options != (0,)
 
     def build_plan(self, relation, topology, *, chunks_per_class: int = 4,
-                   seed: int = 0, engine: str = "vectorized",
-                   staleness: int = 0):
+                   seed: int = 0, staleness: int = 0):
         """Compile the executable plan (plan-based schemes only)."""
         if self.builder is None:
             raise ValueError(
@@ -112,7 +111,7 @@ class SchemeSpec:
             )
         return self.builder(
             relation, topology, chunks_per_class=chunks_per_class,
-            seed=seed, engine=engine, staleness=staleness,
+            seed=seed, staleness=staleness,
         )
 
 

@@ -1,20 +1,14 @@
-"""Tests for the Listing-1 style user API."""
+"""Tests for the Listing-1 style user API (through ``dgcl.session``)."""
 
 import numpy as np
 import pytest
 
 import repro.api as dgcl
 from repro.api import DGCLSession
+from repro.errors import PartitionSpecError
 from repro.graph.datasets import synthetic_features
 from repro.graph.generators import rmat
 from repro.topology import dgx1
-
-
-@pytest.fixture(autouse=True)
-def fresh_session():
-    dgcl.shutdown()
-    yield
-    dgcl.shutdown()
 
 
 @pytest.fixture()
@@ -25,27 +19,26 @@ def graph():
 class TestModuleApi:
     def test_listing1_workflow(self, graph):
         """The paper's Listing 1, end to end."""
-        dgcl.init(dgx1())
-        report = dgcl.build_comm_info(graph)
-        assert report.num_stages >= 1
-        assert report.plan is dgcl.communication_plan()
-        assert report.total_cost == pytest.approx(sum(report.stage_costs))
-        features = synthetic_features(graph, 12, seed=0)
-        local = dgcl.dispatch_features(features)
-        assert len(local) == 8
-        gathered = dgcl.graph_allgather(local)
-        graphs = dgcl.local_graphs()
+        with dgcl.session(dgx1()) as s:
+            report = s.build_comm_info(graph)
+            assert report.num_stages >= 1
+            assert report.plan is s.communication_plan()
+            assert report.total_cost == pytest.approx(sum(report.stage_costs))
+            features = synthetic_features(graph, 12, seed=0)
+            local = s.dispatch_features(features)
+            assert len(local) == 8
+            gathered = s.graph_allgather(local)
+            graphs = s.local_graphs()
         for d, (block, lg) in enumerate(zip(gathered, graphs)):
             assert block.shape == (lg.num_local + lg.num_remote, 12)
             assert np.array_equal(block, features[lg.global_ids])
 
     def test_scatter_gradients_roundtrip(self, graph):
-        dgcl.init(dgx1())
-        dgcl.build_comm_info(graph)
+        session = dgcl.session(dgx1())
+        session.build_comm_info(graph)
         features = synthetic_features(graph, 4, seed=1)
-        full = dgcl.graph_allgather(dgcl.dispatch_features(features))
-        grads = dgcl.scatter_gradients([np.ones_like(f) for f in full])
-        session = dgcl.init.__globals__["_SESSION"]
+        full = session.graph_allgather(session.dispatch_features(features))
+        grads = session.scatter_gradients([np.ones_like(f) for f in full])
         # each vertex receives 1 (its own) + #consuming devices
         rel = session.relation
         for d, g in enumerate(grads):
@@ -57,28 +50,23 @@ class TestModuleApi:
                 }
                 assert g[i, 0] == pytest.approx(1 + len(consumers))
 
-    def test_requires_init(self, graph):
-        with pytest.raises(RuntimeError, match="init"):
-            dgcl.build_comm_info(graph)
-
     def test_requires_build(self, graph):
-        dgcl.init(dgx1())
+        session = dgcl.session(dgx1())
         with pytest.raises(RuntimeError, match="build_comm_info"):
-            dgcl.dispatch_features(np.zeros((graph.num_vertices, 3)))
+            session.dispatch_features(np.zeros((graph.num_vertices, 3)))
         with pytest.raises(RuntimeError):
-            dgcl.graph_allgather([])
+            session.graph_allgather([])
         with pytest.raises(RuntimeError):
-            dgcl.local_graphs()
+            session.local_graphs()
         with pytest.raises(RuntimeError):
-            dgcl.communication_plan()
+            session.communication_plan()
 
     def test_simulated_clock_advances(self, graph):
-        dgcl.init(dgx1())
-        dgcl.build_comm_info(graph)
-        session = dgcl.init.__globals__["_SESSION"]
+        session = dgcl.session(dgx1())
+        session.build_comm_info(graph)
         features = synthetic_features(graph, 8, seed=2)
         assert session.simulated_comm_seconds == 0.0
-        dgcl.graph_allgather(dgcl.dispatch_features(features))
+        session.graph_allgather(session.dispatch_features(features))
         assert session.simulated_comm_seconds > 0.0
 
 
@@ -102,3 +90,18 @@ class TestSessionObject:
         session.build_comm_info(graph)
         with pytest.raises(ValueError):
             session.dispatch_features(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("labels", [
+        np.full(200, -1),
+        np.r_[np.full(10, -1), np.arange(190) % 8],
+        np.arange(200) % 8 + 0.7,
+        np.arange(200) % 9,
+        np.arange(199) % 8,
+    ], ids=["all-negative", "some-negative", "fractional", "too-large",
+            "wrong-length"])
+    def test_bad_assignment_rejected(self, labels):
+        """Every label must be an integral device id, one per vertex."""
+        graph = rmat(200, 1200, seed=1)
+        with dgcl.session(dgx1()) as s:
+            with pytest.raises(PartitionSpecError):
+                s.build_comm_info(graph, assignment=labels)

@@ -19,47 +19,13 @@ import repro.api as api
 EXPECTED_ALL = [
     "DGCLSession",
     "PlanReport",
-    "arm_telemetry",
-    "build_comm_info",
-    "communication_plan",
-    "dispatch_features",
-    "fault_log",
-    "graph_allgather",
-    "init",
-    "inject_faults",
-    "local_graphs",
-    "profile",
     "register_scheme",
-    "scatter_gradients",
     "serve",
     "session",
-    "shutdown",
-    "tune",
 ]
 
 #: Module-level functions: name -> str(inspect.signature).
 EXPECTED_FUNCTIONS = {
-    "arm_telemetry":
-        "(tracer: 'Optional[Tracer]' = None, "
-        "metrics: 'Optional[MetricsRegistry]' = None, "
-        "auditor: 'Optional[CostModelAuditor]' = None, "
-        "recorder: 'Optional[FlightRecorder]' = None) -> 'DGCLSession'",
-    "profile":
-        "(meta: 'Optional[Dict[str, object]]' = None) -> 'RunProfile'",
-    "build_comm_info": "(graph: 'Graph', **kwargs) -> 'PlanReport'",
-    "communication_plan": "() -> 'CommPlan'",
-    "dispatch_features": "(features: 'np.ndarray') -> 'List[np.ndarray]'",
-    "fault_log": "() -> 'FaultLog'",
-    "graph_allgather":
-        "(local_embeddings: 'List[np.ndarray]') -> 'List[np.ndarray]'",
-    "init":
-        "(topology: 'Topology', fault_plan: 'Optional[FaultPlan]' = None, "
-        "strategy: 'str' = 'spst', plan_cache=None, "
-        "engine: 'str' = 'vectorized', fidelity: 'str' = 'event', "
-        "elastic: 'Optional[ElasticPolicy]' = None) "
-        "-> 'DGCLSession'",
-    "inject_faults": "(fault_plan) -> 'FaultInjector'",
-    "local_graphs": "() -> 'List[LocalGraph]'",
     "register_scheme":
         "(name: 'str', *, builder: 'Optional[Callable]' = None, "
         "cost_fn: 'Optional[Callable]' = None, version: 'str' = '1', "
@@ -68,8 +34,6 @@ EXPECTED_FUNCTIONS = {
         "tunable_method: 'bool' = False, tunable_chunks: 'bool' = False, "
         "staleness_options: 'Sequence[int]' = (0,), "
         "replace_existing: 'bool' = False) -> 'SchemeSpec'",
-    "scatter_gradients":
-        "(full_grads: 'List[np.ndarray]') -> 'List[np.ndarray]'",
     "serve":
         "(scenario: 'str' = 'poisson', *, gpus: 'int' = 8, "
         "topology: 'str' = 'dgx', seed: 'int' = 0, "
@@ -79,11 +43,9 @@ EXPECTED_FUNCTIONS = {
     "session":
         "(topology: 'Topology', *, fault_plan: 'Optional[FaultPlan]' = None, "
         "strategy: 'str' = 'spst', plan_cache=None, "
-        "engine: 'str' = 'vectorized', fidelity: 'str' = 'event', "
+        "fidelity: 'str' = 'event', "
         "elastic: 'Optional[ElasticPolicy]' = None) "
         "-> 'DGCLSession'",
-    "shutdown": "() -> 'None'",
-    "tune": "(graph: 'Graph', **kwargs)",
 }
 
 #: Session methods whose keyword-only contract the docs promise.
@@ -91,12 +53,12 @@ EXPECTED_METHODS = {
     "DGCLSession.__init__":
         "(self, topology: 'Topology', fault_plan: 'Optional[FaultPlan]' = "
         "None, strategy: 'str' = 'spst', plan_cache=None, "
-        "engine: 'str' = 'vectorized', fidelity: 'str' = 'event', "
+        "fidelity: 'str' = 'event', "
         "elastic: 'Optional[ElasticPolicy]' = None) -> 'None'",
     "DGCLSession.build_comm_info":
         "(self, graph: 'Graph', *, assignment: 'Optional[np.ndarray]' = "
         "None, seed: 'int' = 0, chunks_per_class: 'int' = 4, "
-        "strategy: 'Optional[str]' = None, engine: 'Optional[str]' = None, "
+        "strategy: 'Optional[str]' = None, "
         "tune_kwargs: 'Optional[dict]' = None) -> 'PlanReport'",
     "DGCLSession.tune":
         "(self, graph: 'Graph', *, seed: 'int' = 0, "
@@ -114,7 +76,7 @@ EXPECTED_METHODS = {
 
 #: PlanReport's dataclass fields, in declaration order.
 EXPECTED_PLAN_REPORT_FIELDS = [
-    "plan", "plan_source", "engine", "fidelity",
+    "plan", "plan_source", "fidelity",
     "stage_costs", "total_cost", "tune_report",
 ]
 
@@ -144,7 +106,7 @@ class TestApiSurface:
         assert fields == EXPECTED_PLAN_REPORT_FIELDS
 
     def test_knob_vocabularies(self):
-        assert api.SESSION_ENGINES == ("scalar", "vectorized")
+        assert not hasattr(api, "SESSION_ENGINES")
         assert api.SESSION_FIDELITIES == ("event", "cost")
         # The historical tuple survives, but the live vocabulary is the
         # scheme registry's — every built-in plan-based scheme included.

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.cost_model import StagedCostModel
+from repro.core.cost_model import DenseCostState, StagedCostModel
+from repro.faults.repair import filter_topology
 from repro.topology import LinkKind, dgx1, fully_connected
 from repro.topology.topology import TopologyBuilder
 
@@ -188,3 +189,29 @@ class TestRemove:
         model.add_path(path, 12.0)
         model.remove_path(path, 12.0)
         assert model.total_cost() == 0.0
+
+
+class TestDenseAddPath:
+    def test_matches_staged_model_across_topology_objects(self):
+        """Links of another Topology object charge by connection name."""
+        topo = dgx1()
+        survivors = filter_topology(topo, dead_connections=["qpi:m0:0->1"])
+        dense = DenseCostState(survivors)
+        staged = StagedCostModel(survivors)
+        for i, link in enumerate(topo.links[:24]):
+            if all(c.name in survivors.connections for c in link.connections):
+                edges = [(link, i % 3), (link, (i + 1) % 3)]
+                dense.add_path(edges, i + 1)
+                staged.add_path(edges, i + 1)
+        assert dense.stage_times() == staged.stage_times()
+        assert dense.total_cost() == staged.total_cost()
+
+    def test_invalid_stage(self):
+        topo = dgx1(4)
+        link = topo.links[0]
+        for stage in (-1, StagedCostModel(topo).num_stages):
+            with pytest.raises(ValueError, match="out of range") as dense:
+                DenseCostState(topo).add_path([(link, stage)], 1)
+            with pytest.raises(ValueError, match="out of range") as staged:
+                StagedCostModel(topo).add_path([(link, stage)], 1)
+            assert str(dense.value) == str(staged.value)

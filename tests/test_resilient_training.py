@@ -287,18 +287,16 @@ class TestSessionAPI:
         assert all(np.array_equal(a, b) for a, b in zip(rows, expected))
         assert len(session.fault_log.by_action("repair")) >= 1
 
-    def test_module_level_functions(self, task):
+    def test_session_fault_surface(self, task):
         g, _, _ = task
-        try:
-            dgcl.init(dgx1())
-            dgcl.build_comm_info(g)
-            assert dgcl.fault_log().is_empty
-            dgcl.inject_faults(
+        with dgcl.session(dgx1()) as s:
+            s.build_comm_info(g)
+            assert s.fault_log.is_empty
+            injector = s.inject_faults(
                 FaultPlan([LinkLoss(connection="nv:m0:0-1:0->1", time=0.0)])
             )
-            assert dgcl.fault_log() is not None
-        finally:
-            dgcl.shutdown()
+            assert injector.is_armed
+            assert injector.log is s.fault_log
 
 
 class TestCLI:

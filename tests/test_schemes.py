@@ -115,7 +115,7 @@ class TestRegistryRoundTrip:
     @pytest.fixture()
     def custom(self):
         def builder(relation, topology, *, chunks_per_class=4, seed=0,
-                    engine="vectorized", staleness=0):
+                    staleness=0):
             return peer_to_peer_plan(relation, topology, name="mirror-p2p")
 
         spec = register_scheme("mirror-p2p", builder=builder, version="7",

@@ -12,13 +12,6 @@ from repro.graph.generators import rmat
 from repro.topology import dgx1
 
 
-@pytest.fixture(autouse=True)
-def fresh_global_session():
-    dgcl.shutdown()
-    yield
-    dgcl.shutdown()
-
-
 @pytest.fixture()
 def graph():
     return rmat(120, 700, seed=5)
@@ -73,44 +66,13 @@ class TestContextManager:
         with pytest.raises(RuntimeError, match="shut down"):
             s.tune(graph)
 
-    def test_factory_does_not_register_global(self, graph):
-        with dgcl.session(dgx1(4)) as s:
-            s.build_comm_info(graph)
-            with pytest.raises(RuntimeError, match="init"):
-                dgcl.build_comm_info(graph)
-
-
-class TestGlobalShims:
-    def test_init_registers_and_shutdown_clears(self, graph):
-        dgcl.init(dgx1(4))
-        report = dgcl.build_comm_info(graph)
-        assert isinstance(report, PlanReport)
-        assert dgcl.communication_plan() is report.plan
-        dgcl.shutdown()
-        with pytest.raises(RuntimeError, match="init"):
-            dgcl.build_comm_info(graph)
-
-    def test_module_shutdown_closes_the_session(self, graph):
-        dgcl.init(dgx1(4))
-        session = dgcl._session()
-        dgcl.shutdown()
-        assert session.closed
-
-    def test_session_shutdown_deregisters_global(self, graph):
-        dgcl.init(dgx1(4))
-        dgcl._session().shutdown()
-        with pytest.raises(RuntimeError, match="init"):
-            dgcl.build_comm_info(graph)
-
-    def test_init_passes_engine_and_fidelity(self, graph):
-        dgcl.init(dgx1(4), engine="scalar", fidelity="cost")
-        report = dgcl.build_comm_info(graph)
-        assert report.engine == "scalar"
-        assert report.fidelity == "cost"
+    def test_factory_passes_fidelity(self, graph):
+        with dgcl.session(dgx1(4), fidelity="cost") as s:
+            report = s.build_comm_info(graph)
+            assert isinstance(report, PlanReport)
+            assert report.fidelity == "cost"
 
     def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            DGCLSession(dgx1(4), engine="gpu")
         with pytest.raises(ValueError, match="fidelity"):
             DGCLSession(dgx1(4), fidelity="exact")
 
@@ -120,7 +82,6 @@ class TestPlanReport:
         with dgcl.session(dgx1(4)) as s:
             report = s.build_comm_info(graph)
             assert report.plan_source == "planned"
-            assert report.engine == "vectorized"
             assert report.fidelity == "event"
             assert report.num_stages == len(report.stage_costs) >= 1
             assert report.total_cost == pytest.approx(
@@ -134,7 +95,7 @@ class TestPlanReport:
         with dgcl.session(dgx1(4)) as s:
             report = s.build_comm_info(graph)
             with pytest.raises(Exception):
-                report.engine = "scalar"
+                report.fidelity = "cost"
 
     def test_positional_options_rejected(self, graph):
         with dgcl.session(dgx1(4)) as s:
