@@ -47,9 +47,7 @@ def pagerank(
     rank = np.full(n, 1.0 / n, dtype=np.float64)
     for _ in range(max_iters):
         contrib = np.where(dangling, 0.0, rank / np.maximum(out_degree, 1.0))
-        gathered = segment_sum(
-            contrib[graph.in_indices][:, None], graph.in_indptr
-        )[:, 0]
+        gathered = segment_sum(contrib, graph.in_indptr, graph.in_indices)
         dangling_mass = rank[dangling].sum() / n
         new_rank = (1.0 - damping) / n + damping * (gathered + dangling_mass)
         delta = np.abs(new_rank - rank).sum()
@@ -151,8 +149,9 @@ class DistributedPageRank:
             for d, ctx in enumerate(self._contexts):
                 lg = ctx["local_graph"]
                 gathered = segment_sum(
-                    full[d][lg.graph.in_indices],
+                    full[d],
                     lg.graph.in_indptr[: lg.num_local + 1],
+                    lg.graph.in_indices,
                 )
                 updated = (1.0 - self.damping) / n + self.damping * (
                     gathered + dangling_mass

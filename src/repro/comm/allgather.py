@@ -109,6 +109,12 @@ class CompiledAllgather:
         self._ops = maps.ops
         self._local_rows = maps.local_rows
         self._out_rows = maps.out_rows
+        # A device's local and remote vertices are disjoint, so its
+        # output rows are distinct and backward can seed them by plain
+        # assignment instead of a scatter-add.
+        for d, rows in enumerate(self._out_rows):
+            if np.unique(rows).size != rows.size:
+                raise AssertionError(f"device {d} lists a vertex twice")
 
     # ------------------------------------------------------------------
     @property
@@ -155,8 +161,7 @@ class CompiledAllgather:
         acc = []
         for d in range(self.num_devices):
             buf = np.zeros((self._vertices[d].size, dim), dtype=full_grads[d].dtype)
-            # Scatter-add: local and remote rows may alias relay rows.
-            np.add.at(buf, self._out_rows[d], full_grads[d])
+            buf[self._out_rows[d]] = full_grads[d]
             acc.append(buf)
         # Reverse stage order: children push their accumulated gradient
         # to the parent; each tree edge is traversed exactly once.

@@ -38,6 +38,7 @@ __all__ = [
     "AdmissionRejected",
     "DeadlineExpired",
     "ForwardOnlyPlanError",
+    "TrainingSpecError",
 ]
 
 
@@ -76,6 +77,17 @@ class ElasticSpecError(ReproError, ValueError):
     another job's allocation, or devices already (or not) part of the
     job — before any drain or checkpoint work starts, so a bad request
     costs nothing on the simulated clock.
+    """
+
+
+class TrainingSpecError(ReproError, ValueError):
+    """A trainer's features or labels do not fit its graph and model.
+
+    Raised at trainer construction by
+    :func:`~repro.gnn.training.check_training_inputs` when the feature
+    matrix has the wrong shape, the labels do not cover every vertex,
+    or a label is not an integer class id in ``[0, num_classes)``, so a
+    bad input never reaches an epoch.
     """
 
 

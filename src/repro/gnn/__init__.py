@@ -2,18 +2,19 @@
 
 This package stands in for the single-GPU GNN system (DGL in the paper):
 CSR-based aggregate-update layers for the three evaluated models — GCN,
-CommNet and GIN — with hand-written backward passes, a full-graph
-trainer, and the cost descriptors the simulator uses to price each
-layer's computation.
+CommNet and GIN — each aggregating with one sparse product
+(:func:`repro.gnn.functional.segment_sum`), with hand-written backward
+passes, a full-graph trainer, and the cost descriptors the simulator
+uses to price each layer's computation.
 
 The distributed trainers run the same layers on per-device partitions,
 calling graphAllgather between layers, through one shared pass,
 :func:`repro.gnn.distributed.data_parallel_pass`: the full-graph
-``DistributedTrainer`` (bit-compatible with the single-device trainer —
-the library's strongest end-to-end correctness check) and the sampled
-:class:`MiniBatchTrainer` differ only in the allgather they plug in and
-the rows that carry the loss.  Trainer telemetry is priced and laid out
-after the pass, so it never touches the numerics.
+``DistributedTrainer`` (equal to the single-device trainer up to float
+reduction order — the library's strongest end-to-end correctness check)
+and the sampled :class:`MiniBatchTrainer` differ only in the allgather
+they plug in and the rows that carry the loss.  Trainer telemetry is
+priced and laid out after the pass, so it never touches the numerics.
 """
 
 from repro.gnn.functional import (

@@ -15,10 +15,11 @@ only in the allgather they plug in and the rows that carry the loss.
 
 The trainer is *functionally* distributed — every embedding row really
 moves through the planned trees — while running in one process.  Its
-output is asserted (in the test suite) to be bit-identical to
-:class:`~repro.gnn.training.SingleDeviceTrainer`, which is the paper's
-correctness criterion ("all baselines are equivalent in single-GPU
-training from the algorithm perspective").
+output is asserted (in the test suite) to match
+:class:`~repro.gnn.training.SingleDeviceTrainer` within float reduction
+order (relative 1e-5: a partitioned sum adds the same terms in another
+order), which is the paper's correctness criterion ("all baselines are
+equivalent in single-GPU training from the algorithm perspective").
 """
 
 from __future__ import annotations

@@ -1,19 +1,29 @@
-"""Vectorised primitives for CSR-based GNN computation.
+"""Sparse-product primitives for CSR-based GNN computation.
 
-Everything here is pure numpy.  The central primitive is
-:func:`segment_sum` — a fast grouped reduction over CSR segments built
-on ``np.add.reduceat`` (with correct handling of empty segments, which
-``reduceat`` alone gets wrong).
+The central primitive is :func:`segment_sum`, the one aggregation
+kernel.  Every neighbor sum of the layers, their backward scatter,
+GAT's attention-weighted sum and PageRank's rank gather are a single
+product ``A @ values`` of a CSR operator ``A`` with a dense row block
+(SciPy's ``csr_array``), the way DGL runs message passing as one fused
+SpMM.  The product reads each input row through the CSR column
+indices, so no per-edge ``E x F`` operand is ever built; only
+:func:`edge_dot` touches per-edge rows, in bounded blocks.
+
+SciPy is imported inside the kernel rather than with this module:
+``import scipy.sparse`` costs about 22 MB of resident memory, which a
+process that never aggregates (serving) should not pay.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "segment_sum",
+    "segment_sum_grad",
+    "edge_dot",
     "aggregate_sum",
     "aggregate_mean",
     "scatter_back",
@@ -22,26 +32,66 @@ __all__ = [
     "softmax_cross_entropy",
 ]
 
+#: Edges per block of :func:`edge_dot` (bounds its temporaries).
+EDGE_BLOCK = 1 << 14
 
-def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Sum ``values`` rows within consecutive CSR segments.
 
-    ``values`` has one row per CSR entry; segment ``i`` spans rows
-    ``indptr[i]:indptr[i+1]``.  Empty segments yield zero rows.
+def _operator(indptr: np.ndarray, indices: Optional[np.ndarray],
+              weights: Optional[np.ndarray], num_cols: int, dtype):
+    """The ``(indptr.size - 1) x num_cols`` CSR operator of a segment sum.
+
+    Entries past ``indptr[-1]`` are ignored, so a caller may pass the
+    full index array with a truncated ``indptr``.
     """
-    n = indptr.size - 1
-    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
-    if values.shape[0] == 0 or n == 0:
-        return out
-    deg = np.diff(indptr)
-    nonzero = np.flatnonzero(deg > 0)
-    if nonzero.size == 0:
-        return out
-    # reduceat sums from each passed start to the next passed start; the
-    # starts of empty segments coincide with the next non-empty start,
-    # so passing only non-empty starts yields exactly their sums.
-    starts = indptr[nonzero]
-    out[nonzero] = np.add.reduceat(values, starts, axis=0)
+    import scipy.sparse
+
+    nnz = int(indptr[-1])
+    indices = np.arange(nnz) if indices is None else indices[:nnz]
+    if nnz and (indices.min() < 0 or indices.max() >= num_cols):
+        raise IndexError(f"a CSR entry addresses a row outside [0, {num_cols})")
+    data = np.ones(nnz, dtype=dtype) if weights is None else weights[:nnz]
+    return scipy.sparse.csr_array((data, indices, indptr),
+                                  shape=(indptr.size - 1, num_cols))
+
+
+def segment_sum(values: np.ndarray, indptr: np.ndarray,
+                indices: Optional[np.ndarray] = None,
+                weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Weighted sum of ``values`` rows within CSR segments.
+
+    ``out[i] = sum(w[e] * values[indices[e]] for e in
+    range(indptr[i], indptr[i+1]))``, computed as one sparse-dense
+    product.  ``indices=None`` reads one row per entry (``indices[e] =
+    e``); ``weights=None`` weights every entry 1.  ``values`` is 1-D or
+    2-D, ``indptr`` starts at 0, and empty segments yield zero rows.
+    """
+    return _operator(indptr, indices, weights, values.shape[0],
+                     values.dtype) @ values
+
+
+def segment_sum_grad(grad_out: np.ndarray, indptr: np.ndarray,
+                     indices: Optional[np.ndarray], weights: Optional[np.ndarray],
+                     num_rows: int) -> np.ndarray:
+    """Backward of :func:`segment_sum` w.r.t. its ``num_rows`` value rows.
+
+    The transposed product of the same operator:
+    ``out[indices[e]] += w[e] * grad_out[segment of e]``.
+    """
+    return _operator(indptr, indices, weights, num_rows,
+                     grad_out.dtype).T @ grad_out
+
+
+def edge_dot(x: np.ndarray, x_rows: np.ndarray, y: np.ndarray,
+             y_rows: np.ndarray) -> np.ndarray:
+    """Per-edge dot products ``x[x_rows[e]] . y[y_rows[e]]`` (an SDDMM).
+
+    Gathers at most :data:`EDGE_BLOCK` edges' rows at a time, so the
+    temporaries stay bounded however many edges there are.
+    """
+    out = np.empty(x_rows.size, dtype=np.result_type(x, y))
+    for start in range(0, x_rows.size, EDGE_BLOCK):
+        block = slice(start, start + EDGE_BLOCK)
+        out[block] = np.einsum("ef,ef->e", x[x_rows[block]], y[y_rows[block]])
     return out
 
 
@@ -53,7 +103,7 @@ def aggregate_sum(
     ``indptr``/``indices`` are the in-CSR: segment ``v`` lists the
     in-neighbors of ``v``.
     """
-    return segment_sum(h[indices], indptr)
+    return segment_sum(h, indptr, indices)
 
 
 def aggregate_mean(
@@ -77,14 +127,9 @@ def scatter_back(
     The forward sums ``h[u]`` into ``out[v]`` for each edge ``u -> v``;
     the backward therefore sums ``grad_out[v]`` into ``grad_h[u]``.
     ``out_indptr``/``out_indices`` are the *out*-CSR (segment ``u`` lists
-    the heads of u's out-edges).
+    the heads of u's out-edges) over at least ``num_rows`` rows.
     """
-    grads = segment_sum(grad_out[out_indices], out_indptr)
-    if grads.shape[0] < num_rows:
-        padded = np.zeros((num_rows,) + grads.shape[1:], dtype=grads.dtype)
-        padded[: grads.shape[0]] = grads
-        return padded
-    return grads[:num_rows]
+    return segment_sum(grad_out, out_indptr[: num_rows + 1], out_indices)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -26,10 +26,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.gnn.functional import (
+    edge_dot,
     relu,
     relu_grad,
     scatter_back,
     segment_sum,
+    segment_sum_grad,
 )
 from repro.graph.csr import Graph
 from repro.simulator.compute import LayerComputeCost
@@ -127,7 +129,7 @@ class GCNLayer(_Layer):
     def forward(self, ctx: GraphContext, h: np.ndarray) -> Tuple[np.ndarray, Cache]:
         """One layer pass; returns (output rows, backward cache)."""
         deg = ctx.in_degrees().astype(h.dtype) + 1.0
-        agg = segment_sum(h[ctx.in_indices], ctx.in_indptr)
+        agg = segment_sum(h, ctx.in_indptr, ctx.in_indices)
         agg += h[: ctx.num_dst]
         agg /= deg[:, None]
         pre = agg @ self.params["W"] + self.params["b"]
@@ -183,7 +185,7 @@ class CommNetLayer(_Layer):
         """One layer pass; returns (output rows, backward cache)."""
         deg = ctx.in_degrees().astype(h.dtype)
         safe_deg = np.where(deg > 0, deg, 1.0)
-        mean = segment_sum(h[ctx.in_indices], ctx.in_indptr) / safe_deg[:, None]
+        mean = segment_sum(h, ctx.in_indptr, ctx.in_indices) / safe_deg[:, None]
         h_dst = h[: ctx.num_dst]
         pre = h_dst @ self.params["W_self"] + mean @ self.params["W_comm"]
         pre += self.params["b"]
@@ -245,7 +247,7 @@ class GINLayer(_Layer):
 
     def forward(self, ctx: GraphContext, h: np.ndarray) -> Tuple[np.ndarray, Cache]:
         """One layer pass; returns (output rows, backward cache)."""
-        summed = segment_sum(h[ctx.in_indices], ctx.in_indptr)
+        summed = segment_sum(h, ctx.in_indptr, ctx.in_indices)
         summed += (1.0 + self.eps) * h[: ctx.num_dst]
         pre1 = summed @ self.params["W1"] + self.params["b1"]
         hid = relu(pre1)
@@ -302,7 +304,7 @@ class SAGELayer(_Layer):
         """One layer pass; returns (output rows, backward cache)."""
         deg = ctx.in_degrees().astype(h.dtype)
         safe_deg = np.where(deg > 0, deg, 1.0)
-        mean = segment_sum(h[ctx.in_indices], ctx.in_indptr) / safe_deg[:, None]
+        mean = segment_sum(h, ctx.in_indptr, ctx.in_indices) / safe_deg[:, None]
         concat = np.concatenate([h[: ctx.num_dst], mean], axis=1)
         pre = concat @ self.params["W"] + self.params["b"]
         out = relu(pre) if self.activation else pre
@@ -374,10 +376,10 @@ class GATLayer(_Layer):
         seg_max = np.full(ctx.num_dst, -np.inf, dtype=e.dtype)
         np.maximum.at(seg_max, v, e)
         shifted = np.exp(e - np.where(np.isfinite(seg_max), seg_max, 0.0)[v])
-        denom = segment_sum(shifted[:, None], ctx.in_indptr)[:, 0]
+        denom = segment_sum(shifted, ctx.in_indptr)
         safe_denom = np.where(denom > 0, denom, 1.0)
         alpha = shifted / safe_denom[v]
-        pre = segment_sum(alpha[:, None] * z[u], ctx.in_indptr)
+        pre = segment_sum(z, ctx.in_indptr, u, alpha)
         pre = pre + self.params["b"]
         out = relu(pre) if self.activation else pre
         return out, (h, z, u, v, raw, alpha, pre)
@@ -389,9 +391,8 @@ class GATLayer(_Layer):
         d_pre = relu_grad(pre, grad_out) if self.activation else grad_out
 
         # out_v = sum alpha_e z_u  (+ b)
-        d_alpha = np.einsum("ef,ef->e", z[u], d_pre[v])
-        d_z = np.zeros_like(z)
-        np.add.at(d_z, u, alpha[:, None] * d_pre[v])
+        d_alpha = edge_dot(z, u, d_pre, v)
+        d_z = segment_sum_grad(d_pre, ctx.in_indptr, u, alpha, z.shape[0])
 
         # softmax backward per destination segment.
         seg_dot = np.zeros(ctx.num_dst, dtype=d_alpha.dtype)

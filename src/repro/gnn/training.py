@@ -13,6 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.errors import TrainingSpecError
 from repro.gnn.functional import softmax_cross_entropy
 from repro.gnn.layers import GraphContext
 from repro.gnn.models import GNNModel, SGD
@@ -27,24 +28,36 @@ def check_training_inputs(model: GNNModel, features: np.ndarray,
                           labels: np.ndarray, num_vertices: int) -> None:
     """Reject features or labels that do not fit the graph and the model.
 
-    Every trainer calls this at construction, so a short label vector
-    or a too-wide feature matrix fails there with a ``ValueError``
-    rather than as an index or matmul error inside an epoch.
+    Every trainer calls this at construction, so a short label vector,
+    a too-wide feature matrix or a label that names no model class
+    fails there with a :class:`~repro.errors.TrainingSpecError` rather
+    than as an index or matmul error inside an epoch, or as a negative
+    label that silently trains toward the last class.
     """
     if features.ndim != 2 or features.shape[0] != num_vertices:
-        raise ValueError(
+        raise TrainingSpecError(
             f"features must be a matrix with one row per vertex "
             f"({num_vertices}), got shape {features.shape}"
         )
-    if labels.shape[0] != num_vertices:
-        raise ValueError(
-            f"labels must cover every vertex ({num_vertices}), "
-            f"got {labels.shape[0]}"
+    if labels.ndim != 1 or labels.shape[0] != num_vertices:
+        raise TrainingSpecError(
+            f"labels must be a vector covering every vertex "
+            f"({num_vertices}), got shape {labels.shape}"
         )
     if features.shape[1] != model.layer_dims[0]:
-        raise ValueError(
+        raise TrainingSpecError(
             f"feature width {features.shape[1]} does not match the "
             f"model input {model.layer_dims[0]}"
+        )
+    classes = model.layer_dims[-1]
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise TrainingSpecError(
+            f"labels must be integer class ids, got {labels.dtype}"
+        )
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise TrainingSpecError(
+            f"labels must lie in [0, {classes}), got "
+            f"[{labels.min()}, {labels.max()}]"
         )
 
 

@@ -40,3 +40,16 @@ def assert_valid_assignment(assignment: np.ndarray, num_vertices: int,
     assert assignment.shape == (num_vertices,)
     assert assignment.min() >= 0
     assert assignment.max() < num_parts
+
+
+#: Label corruptions every trainer must reject at construction.
+BAD_LABELS = ["negative", "num_classes", "float"]
+
+
+def corrupt_labels(labels: np.ndarray, kind: str, num_classes: int) -> np.ndarray:
+    """A copy of ``labels`` with one bad entry (or a bad dtype)."""
+    if kind == "float":
+        return labels.astype(np.float64)
+    bad = labels.copy()
+    bad[len(bad) // 2] = -1 if kind == "negative" else num_classes
+    return bad

@@ -1,15 +1,20 @@
 """Tests for the numpy GNN primitives, with numerical gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gnn.functional import (
     aggregate_mean,
     aggregate_sum,
+    edge_dot,
     relu,
     relu_grad,
     scatter_back,
     segment_sum,
+    segment_sum_grad,
     softmax_cross_entropy,
 )
 from repro.gnn.layers import CommNetLayer, GCNLayer, GINLayer, GraphContext
@@ -55,6 +60,108 @@ class TestSegmentSum:
         for v in range(0, 100, 17):
             expected = h[g.in_neighbors(v)].sum(axis=0) if g.in_degree()[v] else 0
             assert np.allclose(agg[v], expected, atol=1e-5)
+
+
+@st.composite
+def weighted_csr(draw):
+    """A CSR over ``num_rows`` value rows, with optional indices/weights.
+
+    Draws zero segments, zero edges, zero value rows, empty segments,
+    1-D or 2-D values and float32 or float64.
+    """
+    seg_sizes = draw(st.lists(st.integers(0, 5), max_size=12))
+    indptr = np.zeros(len(seg_sizes) + 1, dtype=np.int64)
+    np.cumsum(seg_sizes, out=indptr[1:])
+    nnz = int(indptr[-1])
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = draw(st.sampled_from([None, 1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        num_rows = draw(st.integers(1 if nnz else 0, 8))
+        indices = rng.integers(0, max(num_rows, 1), nnz)
+    else:
+        num_rows, indices = nnz, None
+    weights = (rng.standard_normal(nnz).astype(dtype)
+               if draw(st.booleans()) else None)
+    shape = (num_rows,) if width is None else (num_rows, width)
+    values = rng.standard_normal(shape).astype(dtype)
+    return values, indptr, indices, weights
+
+
+def naive_weighted_sum(values, indptr, indices, weights):
+    out = np.zeros((indptr.size - 1,) + values.shape[1:], np.float64)
+    for i in range(indptr.size - 1):
+        for e in range(indptr[i], indptr[i + 1]):
+            row = e if indices is None else indices[e]
+            w = 1.0 if weights is None else weights[e]
+            out[i] += w * values[row].astype(np.float64)
+    return out
+
+
+class TestSparseKernel:
+    """``segment_sum`` as one CSR product, against a Python loop."""
+
+    @given(weighted_csr())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_naive_loop(self, case):
+        values, indptr, indices, weights = case
+        out = segment_sum(values, indptr, indices, weights)
+        assert out.shape == (indptr.size - 1,) + values.shape[1:]
+        assert out.dtype == values.dtype
+        tol = 1e-5 if values.dtype == np.float32 else 1e-12
+        assert np.allclose(out, naive_weighted_sum(values, indptr, indices,
+                                                   weights), rtol=tol, atol=tol)
+
+    @given(weighted_csr(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_grad_is_adjoint(self, case, seed):
+        """<segment_sum_grad(g), x> == <g, segment_sum(x)>."""
+        values, indptr, indices, weights = case
+        values = values.astype(np.float64)
+        grad = np.random.default_rng(seed).standard_normal(
+            (indptr.size - 1,) + values.shape[1:])
+        back = segment_sum_grad(grad, indptr, indices, weights,
+                                values.shape[0])
+        assert back.shape == values.shape
+        fwd = segment_sum(values, indptr, indices, weights)
+        assert np.isclose((back * values).sum(), (grad * fwd).sum(),
+                          rtol=1e-9, atol=1e-9)
+
+    def test_rejects_out_of_range_index(self):
+        with pytest.raises(IndexError):
+            segment_sum(np.ones((3, 2)), np.array([0, 2]), np.array([0, 3]))
+
+    def test_edge_dot_crosses_blocks(self, monkeypatch):
+        import repro.gnn.functional as functional
+
+        monkeypatch.setattr(functional, "EDGE_BLOCK", 7)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((9, 4))
+        y = rng.standard_normal((5, 4))
+        xr, yr = rng.integers(0, 9, 30), rng.integers(0, 5, 30)
+        assert np.allclose(edge_dot(x, xr, y, yr),
+                           np.einsum("ef,ef->e", x[xr], y[yr]))
+
+    def test_gcn_builds_no_edge_by_feature_block(self):
+        """Forward and backward of a GCN layer on a graph with E >> N
+        allocate nothing as large as one ``E x F`` float32 block."""
+        rng = np.random.default_rng(0)
+        n, e, f = 100, 20_000, 32
+        g = Graph(rng.integers(0, n, e), rng.integers(0, n, e), n,
+                  dedup=False)
+        ctx = GraphContext.from_graph(g)
+        layer = GCNLayer(f, f)
+        h = rng.standard_normal((n, f)).astype(np.float32)
+        segment_sum(h, ctx.in_indptr, ctx.in_indices)  # import SciPy first
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out, cache = layer.forward(ctx, h)
+            layer.backward(ctx, cache, np.ones_like(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < g.num_edges * f * 4
 
 
 class TestAggregates:

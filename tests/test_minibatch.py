@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import DGCLSession
+from repro.errors import TrainingSpecError
 from repro.gnn import (
     MiniBatchOracle,
     MiniBatchTrainer,
@@ -14,6 +15,7 @@ from repro.graph.generators import rmat
 from repro.partition import partition
 from repro.sampling import BatchPlanner, NeighborSampler, SeedLoader
 from repro.topology import topology_for_gpu_count
+from tests.conftest import BAD_LABELS, corrupt_labels
 
 FEATURES, HIDDEN, CLASSES = 6, 8, 4
 
@@ -130,6 +132,24 @@ class TestGradientParity:
                 build_gcn(FEATURES, HIDDEN, CLASSES, seed=7),
                 features[:-1], labels,
             )
+
+    @pytest.mark.parametrize("kind", BAD_LABELS)
+    def test_trainer_rejects_bad_labels(self, workload, kind):
+        g, features, labels = workload
+        loader, sampler, planner = make_pipeline(g)
+        with pytest.raises(TrainingSpecError):
+            MiniBatchTrainer(
+                build_gcn(FEATURES, HIDDEN, CLASSES, seed=7), features,
+                corrupt_labels(labels, kind, CLASSES), sampler, loader,
+                planner,
+            )
+
+    @pytest.mark.parametrize("kind", BAD_LABELS)
+    def test_oracle_rejects_bad_labels(self, workload, kind):
+        g, features, labels = workload
+        with pytest.raises(TrainingSpecError):
+            MiniBatchOracle(build_gcn(FEATURES, HIDDEN, CLASSES, seed=7),
+                            features, corrupt_labels(labels, kind, CLASSES))
 
 
 class TestSessionSurface:

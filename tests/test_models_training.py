@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import CommRelation, SPSTPlanner, peer_to_peer_plan
+from repro.errors import TrainingSpecError
 from repro.gnn import (
     SGD,
     SingleDeviceTrainer,
@@ -18,6 +19,7 @@ from repro.graph.datasets import synthetic_features, synthetic_labels
 from repro.graph.generators import rmat
 from repro.partition import partition
 from repro.topology import dgx1, pcie_only, ring
+from tests.conftest import BAD_LABELS, corrupt_labels
 
 
 class TestBuilders:
@@ -97,6 +99,13 @@ class TestSingleDeviceTrainer:
         with pytest.raises(ValueError):
             SingleDeviceTrainer(g, model, feats[:, :8], labels)
 
+    @pytest.mark.parametrize("kind", BAD_LABELS)
+    def test_bad_labels_rejected(self, task, kind):
+        g, feats, labels = task
+        with pytest.raises(TrainingSpecError):
+            SingleDeviceTrainer(g, build_gcn(16, 8, 4), feats,
+                                corrupt_labels(labels, kind, 4))
+
     def test_sgd_mismatched_grads(self, task):
         model = build_gcn(16, 8, 4)
         with pytest.raises(ValueError):
@@ -166,6 +175,14 @@ class TestDistributedEquivalence:
                                   feats, labels, lr=0.5)
         losses = dist.train(10)
         assert losses[-1] < losses[0]
+
+    @pytest.mark.parametrize("kind", BAD_LABELS)
+    def test_bad_labels_rejected(self, task, kind):
+        g, feats, labels, rel = task
+        plan = peer_to_peer_plan(rel, dgx1())
+        with pytest.raises(TrainingSpecError):
+            DistributedTrainer(rel, plan, build_gcn(24, 12, 5), feats,
+                               corrupt_labels(labels, kind, 5))
 
     def test_feature_shape_checked(self, task):
         g, feats, labels, rel = task

@@ -8,6 +8,9 @@ full SLO attainment, typed-only outcomes and bit-identical reruns.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -245,6 +248,18 @@ class TestHealthyScenario:
         assert report.final_level == "normal" and not report.ladder
         for stats in report.tenants.values():
             assert stats["slo_attainment"] == 1.0
+
+    def test_serving_never_imports_scipy(self):
+        """Serving runs no GNN kernel, so it must not pay SciPy's ~22 MB
+        import, even with the training modules loaded."""
+        code = (
+            "import sys\n"
+            "import repro.api, repro.gnn.distributed, repro.gnn.minibatch\n"
+            "from repro.serve import build_scenario\n"
+            "build_scenario('poisson', horizon_scale=0.2).run(seed=0)\n"
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_run_twice_is_bit_identical(self):
         session = build_scenario("bursty", horizon_scale=0.4)
