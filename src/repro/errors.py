@@ -32,6 +32,7 @@ __all__ = [
     "PlanCacheError",
     "UnknownSchemeError",
     "UnknownDatasetError",
+    "UnknownModelError",
     "OracleViolation",
     "ServeError",
     "ServeSpecError",
@@ -179,6 +180,25 @@ class UnknownDatasetError(ReproError, KeyError, ValueError):
         self.available = tuple(available)
         super().__init__(
             f"unknown dataset {name!r}; available: {list(self.available)}"
+        )
+
+    def __str__(self) -> str:  # KeyError quotes its repr; keep the text
+        return self.args[0]
+
+
+class UnknownModelError(ReproError, KeyError, ValueError):
+    """A model name is not one of the registered GNN model builders.
+
+    Subclasses ``KeyError`` (what a bare builder lookup used to raise)
+    and ``ValueError``, like :class:`UnknownSchemeError`.  The message
+    lists the available names.
+    """
+
+    def __init__(self, name: str, available: Sequence[str]) -> None:
+        self.name = name
+        self.available = tuple(available)
+        super().__init__(
+            f"unknown model {name!r}; available: {list(self.available)}"
         )
 
     def __str__(self) -> str:  # KeyError quotes its repr; keep the text

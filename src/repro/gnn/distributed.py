@@ -72,6 +72,8 @@ def data_parallel_pass(
     weighted by its share of ``num_targets``, so the sum is the global
     mean.  Backward: the layers run in reverse and, between them,
     ``allgather.backward`` returns remote-row gradients to their owners.
+    Input features need no gradient, so layer 0 runs its backward with
+    ``input_grad=False`` and nothing is scattered back after it.
 
     Returns the loss, the weight gradients summed over devices, and
     every device's output rows.
@@ -106,14 +108,15 @@ def data_parallel_pass(
         layer = model.layers[li]
         full_grads = []
         for d in range(num_devices):
-            g_full, g_params = layer.backward(contexts[d], caches[d][li], grad[d])
+            g_full, g_params = layer.backward(contexts[d], caches[d][li],
+                                              grad[d], input_grad=li > 0)
             full_grads.append(g_full)
             if weight_grads[li] is None:
                 weight_grads[li] = {k: v.copy() for k, v in g_params.items()}
             else:
                 for k, v in g_params.items():
                     weight_grads[li][k] += v
-        if li > 0:  # input features need no gradient: layer 0 skips it
+        if li > 0:
             grad = allgather.backward(full_grads)
     return loss, weight_grads, h_local
 
@@ -238,8 +241,7 @@ class DistributedTrainer:
         if self._price_executor is not None:
             self._trace_epoch(loss, update)
         self.loss_history.append(loss)
-        return EpochResult(loss=loss, logits=self.gather_logits(outputs),
-                           feature_grad=None)
+        return EpochResult(loss=loss, logits=self.gather_logits(outputs))
 
     def gather_logits(self, h_local: List[np.ndarray]) -> np.ndarray:
         """Assemble per-device outputs into global vertex order."""

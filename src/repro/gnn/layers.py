@@ -16,6 +16,18 @@ vertices whose outputs are computed first, then any remote rows
 fetched by graphAllgather.  Backward passes are hand written and return
 both parameter gradients and the gradient w.r.t. every input row
 (including remote rows, which the runtime ships back to their owners).
+``backward(..., input_grad=False)`` returns ``None`` for the input-row
+gradient and skips the kernels that only feed it; the first layer runs
+that way, since input features need no gradient.
+
+Each layer executes the kernel order its ``compute_cost`` prices.  GCN
+and CommNet project before aggregating when the projection narrows the
+width (``out_dim < in_dim``), as DGL's GraphConv does, so aggregation
+and its backward scatter stream ``out_dim`` columns; the projection
+then covers every input row instead of the destination rows only.
+GIN, SAGE and GAT run one fixed order each, the one they price: GIN's
+MLP is non-linear, so it aggregates its input; SAGE aggregates its
+input; GAT aggregates projected rows.
 """
 
 from __future__ import annotations
@@ -101,6 +113,13 @@ class _Layer:
         return sum(p.size for p in self.params.values())
 
     @property
+    def project_first(self) -> bool:
+        """Whether GCN and CommNet project before aggregating: true when
+        the projection narrows the width, so aggregation streams fewer
+        columns."""
+        return self.out_dim < self.in_dim
+
+    @property
     def memory_dims(self):
         """Widths of the activations this layer materialises per row."""
         return [self.out_dim]
@@ -115,7 +134,10 @@ class GCNLayer(_Layer):
 
     The normalised self-inclusive mean is the "weighted sum" GCN
     aggregation; degrees come from the context, so the distributed and
-    single-device versions normalise identically.
+    single-device versions normalise identically.  Aggregation and the
+    projection commute, so when ``out_dim < in_dim`` the layer computes
+    ``z = h @ W`` over every input row and aggregates ``z`` instead,
+    the order :meth:`compute_cost` prices.
     """
 
     def __init__(self, in_dim: int, out_dim: int, activation: bool = True,
@@ -129,22 +151,33 @@ class GCNLayer(_Layer):
     def forward(self, ctx: GraphContext, h: np.ndarray) -> Tuple[np.ndarray, Cache]:
         """One layer pass; returns (output rows, backward cache)."""
         deg = ctx.in_degrees().astype(h.dtype) + 1.0
-        agg = segment_sum(h, ctx.in_indptr, ctx.in_indices)
-        agg += h[: ctx.num_dst]
+        x = h @ self.params["W"] if self.project_first else h
+        agg = segment_sum(x, ctx.in_indptr, ctx.in_indices)
+        agg += x[: ctx.num_dst]
         agg /= deg[:, None]
-        pre = agg @ self.params["W"] + self.params["b"]
+        if self.project_first:
+            pre = agg + self.params["b"]
+        else:
+            pre = agg @ self.params["W"] + self.params["b"]
         out = relu(pre) if self.activation else pre
         return out, (h, agg, pre, deg)
 
-    def backward(self, ctx: GraphContext, cache: Cache,
-                 grad_out: np.ndarray) -> Tuple[np.ndarray, Grads]:
+    def backward(self, ctx: GraphContext, cache: Cache, grad_out: np.ndarray,
+                 input_grad: bool = True) -> Tuple[Optional[np.ndarray], Grads]:
         """Hand-written backward; returns (input-row grads, param grads)."""
         h, agg, pre, deg = cache
         d_pre = relu_grad(pre, grad_out) if self.activation else grad_out
-        grads = {
-            "W": agg.T @ d_pre,
-            "b": d_pre.sum(axis=0),
-        }
+        if self.project_first:
+            # The W gradient needs d_z, so the scatter runs either way.
+            d_agg = d_pre / deg[:, None]
+            d_z = scatter_back(d_agg, ctx.out_indptr, ctx.out_indices,
+                               ctx.num_rows)
+            d_z[: ctx.num_dst] += d_agg
+            grads = {"W": h.T @ d_z, "b": d_pre.sum(axis=0)}
+            return (d_z @ self.params["W"].T if input_grad else None), grads
+        grads = {"W": agg.T @ d_pre, "b": d_pre.sum(axis=0)}
+        if not input_grad:
+            return None, grads
         d_agg = (d_pre @ self.params["W"].T) / deg[:, None]
         d_h = scatter_back(d_agg, ctx.out_indptr, ctx.out_indices, ctx.num_rows)
         d_h[: ctx.num_dst] += d_agg
@@ -156,7 +189,7 @@ class GCNLayer(_Layer):
         # the width (602 -> 256 on Reddit), so aggregation streams the
         # smaller dimension; the projection then covers every input row.
         """Hardware-independent cost descriptor of one forward pass."""
-        if self.out_dim < self.in_dim:
+        if self.project_first:
             agg_dim, dense_rows = self.out_dim, num_rows
         else:
             agg_dim, dense_rows = self.in_dim, num_dst
@@ -169,7 +202,10 @@ class CommNetLayer(_Layer):
     """CommNet: ``tanh(h_v @ W_self + mean_nbr(h) @ W_comm + b)``.
 
     Models cooperating agents that mix their own state with the mean of
-    the messages they receive; two dense transforms per layer.
+    the messages they receive; two dense transforms per layer.  When
+    ``out_dim < in_dim`` the communication branch projects every input
+    row through ``W_comm`` first and averages the projected rows, the
+    order :meth:`compute_cost` prices.
     """
 
     def __init__(self, in_dim: int, out_dim: int, activation: bool = True,
@@ -185,25 +221,40 @@ class CommNetLayer(_Layer):
         """One layer pass; returns (output rows, backward cache)."""
         deg = ctx.in_degrees().astype(h.dtype)
         safe_deg = np.where(deg > 0, deg, 1.0)
-        mean = segment_sum(h, ctx.in_indptr, ctx.in_indices) / safe_deg[:, None]
+        x = h @ self.params["W_comm"] if self.project_first else h
+        mean = segment_sum(x, ctx.in_indptr, ctx.in_indices) / safe_deg[:, None]
         h_dst = h[: ctx.num_dst]
-        pre = h_dst @ self.params["W_self"] + mean @ self.params["W_comm"]
+        comm = mean if self.project_first else mean @ self.params["W_comm"]
+        pre = h_dst @ self.params["W_self"] + comm
         pre += self.params["b"]
         out = np.tanh(pre) if self.activation else pre
         return out, (h, h_dst, mean, out, safe_deg)
 
-    def backward(self, ctx: GraphContext, cache: Cache,
-                 grad_out: np.ndarray) -> Tuple[np.ndarray, Grads]:
+    def backward(self, ctx: GraphContext, cache: Cache, grad_out: np.ndarray,
+                 input_grad: bool = True) -> Tuple[Optional[np.ndarray], Grads]:
         """Hand-written backward; returns (input-row grads, param grads)."""
         h, h_dst, mean, out, safe_deg = cache
         d_pre = grad_out * (1.0 - out * out) if self.activation else grad_out
+        if self.project_first:
+            # The W_comm gradient needs d_z, so the scatter runs either way.
+            d_z = scatter_back(d_pre / safe_deg[:, None], ctx.out_indptr,
+                               ctx.out_indices, ctx.num_rows)
+            comm_grad = h.T @ d_z
+        else:
+            comm_grad = mean.T @ d_pre
         grads = {
             "W_self": h_dst.T @ d_pre,
-            "W_comm": mean.T @ d_pre,
+            "W_comm": comm_grad,
             "b": d_pre.sum(axis=0),
         }
-        d_mean = (d_pre @ self.params["W_comm"].T) / safe_deg[:, None]
-        d_h = scatter_back(d_mean, ctx.out_indptr, ctx.out_indices, ctx.num_rows)
+        if not input_grad:
+            return None, grads
+        if self.project_first:
+            d_h = d_z @ self.params["W_comm"].T
+        else:
+            d_mean = (d_pre @ self.params["W_comm"].T) / safe_deg[:, None]
+            d_h = scatter_back(d_mean, ctx.out_indptr, ctx.out_indices,
+                               ctx.num_rows)
         d_h[: ctx.num_dst] += d_pre @ self.params["W_self"].T
         return d_h, grads
 
@@ -212,7 +263,7 @@ class CommNetLayer(_Layer):
         # The communication branch can project first like GCN; the self
         # branch always transforms only the destination rows.
         """Hardware-independent cost descriptor of one forward pass."""
-        if self.out_dim < self.in_dim:
+        if self.project_first:
             agg_dim, comm_rows = self.out_dim, num_rows
         else:
             agg_dim, comm_rows = self.in_dim, num_dst
@@ -255,8 +306,8 @@ class GINLayer(_Layer):
         out = relu(pre2) if self.activation else pre2
         return out, (h, summed, pre1, hid, pre2)
 
-    def backward(self, ctx: GraphContext, cache: Cache,
-                 grad_out: np.ndarray) -> Tuple[np.ndarray, Grads]:
+    def backward(self, ctx: GraphContext, cache: Cache, grad_out: np.ndarray,
+                 input_grad: bool = True) -> Tuple[Optional[np.ndarray], Grads]:
         """Hand-written backward; returns (input-row grads, param grads)."""
         h, summed, pre1, hid, pre2 = cache
         d_pre2 = relu_grad(pre2, grad_out) if self.activation else grad_out
@@ -267,6 +318,8 @@ class GINLayer(_Layer):
             "W1": summed.T @ d_hid,
             "b1": d_hid.sum(axis=0),
         }
+        if not input_grad:
+            return None, grads
         d_sum = d_hid @ self.params["W1"].T
         d_h = scatter_back(d_sum, ctx.out_indptr, ctx.out_indices, ctx.num_rows)
         d_h[: ctx.num_dst] += (1.0 + self.eps) * d_sum
@@ -310,8 +363,8 @@ class SAGELayer(_Layer):
         out = relu(pre) if self.activation else pre
         return out, (h, concat, pre, safe_deg)
 
-    def backward(self, ctx: GraphContext, cache: Cache,
-                 grad_out: np.ndarray) -> Tuple[np.ndarray, Grads]:
+    def backward(self, ctx: GraphContext, cache: Cache, grad_out: np.ndarray,
+                 input_grad: bool = True) -> Tuple[Optional[np.ndarray], Grads]:
         """Hand-written backward; returns (input-row grads, param grads)."""
         h, concat, pre, safe_deg = cache
         d_pre = relu_grad(pre, grad_out) if self.activation else grad_out
@@ -319,6 +372,8 @@ class SAGELayer(_Layer):
             "W": concat.T @ d_pre,
             "b": d_pre.sum(axis=0),
         }
+        if not input_grad:
+            return None, grads
         d_concat = d_pre @ self.params["W"].T
         d_self = d_concat[:, : self.in_dim]
         d_mean = d_concat[:, self.in_dim :] / safe_deg[:, None]
@@ -384,8 +439,8 @@ class GATLayer(_Layer):
         out = relu(pre) if self.activation else pre
         return out, (h, z, u, v, raw, alpha, pre)
 
-    def backward(self, ctx: GraphContext, cache: Cache,
-                 grad_out: np.ndarray) -> Tuple[np.ndarray, Grads]:
+    def backward(self, ctx: GraphContext, cache: Cache, grad_out: np.ndarray,
+                 input_grad: bool = True) -> Tuple[Optional[np.ndarray], Grads]:
         """Hand-written backward; returns (input-row grads, param grads)."""
         h, z, u, v, raw, alpha, pre = cache
         d_pre = relu_grad(pre, grad_out) if self.activation else grad_out
@@ -414,8 +469,7 @@ class GATLayer(_Layer):
             "a_dst": z.T @ d_s_dst,
             "b": d_pre.sum(axis=0),
         }
-        d_h = d_z @ self.params["W"].T
-        return d_h, grads
+        return (d_z @ self.params["W"].T if input_grad else None), grads
 
     def compute_cost(self, num_dst: int, num_rows: int, num_edges: int,
                      bytes_per_float: int = 4) -> LayerComputeCost:

@@ -96,8 +96,7 @@ class MiniBatchOracle:
         )
         grad = np.zeros_like(logits)
         grad[rows] = g_seed
-        _, weight_grads = self.model.backward(ctx, caches, grad)
-        return loss, weight_grads
+        return loss, self.model.backward(ctx, caches, grad)
 
     def run_batch(
         self, batch: SampledSubgraph, update: bool = True

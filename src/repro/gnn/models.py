@@ -9,10 +9,11 @@ prices.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import TrainingSpecError, UnknownModelError
 from repro.gnn.layers import (
     CommNetLayer,
     GATLayer,
@@ -37,11 +38,22 @@ __all__ = [
 
 
 class GNNModel:
-    """A stack of GNN layers sharing one graph context per device."""
+    """A stack of GNN layers sharing one graph context per device.
+
+    Construction rejects an empty stack, and a stack in which a layer's
+    input width differs from the previous layer's output width, with a
+    :class:`~repro.errors.TrainingSpecError`.
+    """
 
     def __init__(self, layers: Sequence, name: str = "gnn") -> None:
         if not layers:
-            raise ValueError("a model needs at least one layer")
+            raise TrainingSpecError("a model needs at least one layer")
+        for i in range(1, len(layers)):
+            if layers[i].in_dim != layers[i - 1].out_dim:
+                raise TrainingSpecError(
+                    f"layer {i} takes width {layers[i].in_dim} but layer "
+                    f"{i - 1} outputs width {layers[i - 1].out_dim}"
+                )
         self.layers = list(layers)
         self.name = name
 
@@ -81,14 +93,15 @@ class GNNModel:
 
     def backward(
         self, ctx: GraphContext, caches: List, grad_out: np.ndarray
-    ) -> Tuple[np.ndarray, List[Dict[str, np.ndarray]]]:
-        """Backward through every layer; returns (input grad, per-layer grads)."""
+    ) -> List[Dict[str, np.ndarray]]:
+        """Backward through every layer; returns the per-layer weight
+        gradients.  Input features need no gradient, so layer 0 skips it."""
         grads: List[Dict[str, np.ndarray]] = [None] * self.num_layers
         grad = grad_out
         for i in reversed(range(self.num_layers)):
-            grad, layer_grads = self.layers[i].backward(ctx, caches[i], grad)
-            grads[i] = layer_grads
-        return grad, grads
+            grad, grads[i] = self.layers[i].backward(ctx, caches[i], grad,
+                                                     input_grad=i > 0)
+        return grads
 
     # ------------------------------------------------------------------
     def compute_cost(
@@ -233,11 +246,13 @@ def build_model(
     num_layers: int = 2,
     seed: int = 0,
 ) -> GNNModel:
-    """Build one of the paper's three models by name."""
+    """Build one of :data:`MODEL_BUILDERS` by name.
+
+    An unknown name raises :class:`~repro.errors.UnknownModelError`;
+    ``num_layers < 1`` raises :class:`~repro.errors.TrainingSpecError`.
+    """
     try:
         builder = MODEL_BUILDERS[name.lower()]
     except KeyError:
-        raise KeyError(
-            f"unknown model {name!r}; available: {sorted(MODEL_BUILDERS)}"
-        ) from None
+        raise UnknownModelError(name, sorted(MODEL_BUILDERS)) from None
     return builder(feature_size, hidden_size, num_classes, num_layers, seed)

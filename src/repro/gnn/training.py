@@ -8,8 +8,8 @@ trainer the ground truth the distributed trainer is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class EpochResult:
 
     loss: float
     logits: np.ndarray
-    feature_grad: Optional[np.ndarray] = None
 
 
 class SingleDeviceTrainer:
@@ -123,14 +122,14 @@ class SingleDeviceTrainer:
         logits, caches = self.model.forward(self.ctx, self.features)
         self._trace_phase("forward", epoch)
         loss, grad_logits = softmax_cross_entropy(logits, self.labels)
-        feature_grad, grads = self.model.backward(self.ctx, caches, grad_logits)
+        grads = self.model.backward(self.ctx, caches, grad_logits)
         self._trace_phase("backward", epoch)
         if update:
             self.optimizer.step(grads)
             self.telemetry.span("optimizer.step", "phase", device_track(0),
                                 self.sim_clock, self.sim_clock, epoch=epoch)
         self.loss_history.append(loss)
-        return EpochResult(loss=loss, logits=logits, feature_grad=feature_grad)
+        return EpochResult(loss=loss, logits=logits)
 
     def train(self, epochs: int) -> List[float]:
         """Run ``epochs`` epochs; returns the loss history."""

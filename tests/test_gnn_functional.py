@@ -17,7 +17,14 @@ from repro.gnn.functional import (
     segment_sum_grad,
     softmax_cross_entropy,
 )
-from repro.gnn.layers import CommNetLayer, GCNLayer, GINLayer, GraphContext
+from repro.gnn.layers import (
+    CommNetLayer,
+    GATLayer,
+    GCNLayer,
+    GINLayer,
+    GraphContext,
+    SAGELayer,
+)
 from repro.graph.csr import Graph
 from repro.graph.generators import rmat
 
@@ -225,13 +232,14 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy(np.zeros(3), np.zeros(3, dtype=int))
 
 
-def numerical_layer_grad_check(layer_cls, seed=0, **kwargs):
+def numerical_layer_grad_check(layer_cls, seed=0, in_dim=6, out_dim=4,
+                               **kwargs):
     """Finite-difference check of a layer's input and weight gradients."""
     g = rmat(25, 120, seed=seed)
     ctx = GraphContext.from_graph(g)
     rng = np.random.default_rng(seed)
-    h = rng.standard_normal((25, 6)).astype(np.float64)
-    layer = layer_cls(6, 4, seed=seed, **kwargs)
+    h = rng.standard_normal((25, in_dim)).astype(np.float64)
+    layer = layer_cls(in_dim, out_dim, seed=seed, **kwargs)
     for name in layer.params:
         layer.params[name] = layer.params[name].astype(np.float64)
 
@@ -246,7 +254,7 @@ def numerical_layer_grad_check(layer_cls, seed=0, **kwargs):
     rng2 = np.random.default_rng(seed + 1)
     # input gradient at random positions
     for _ in range(8):
-        i = int(rng2.integers(25)); j = int(rng2.integers(6))
+        i = int(rng2.integers(25)); j = int(rng2.integers(in_dim))
         up = h.copy(); up[i, j] += eps
         dn = h.copy(); dn[i, j] -= eps
         num = (loss_of(up) - loss_of(dn)) / (2 * eps)
@@ -279,3 +287,88 @@ class TestLayerGradients:
 
     def test_gcn_no_activation_gradients(self):
         numerical_layer_grad_check(GCNLayer, activation=False)
+
+    @pytest.mark.parametrize("layer_cls", [GCNLayer, CommNetLayer])
+    def test_aggregate_first_gradients(self, layer_cls):
+        """4 -> 6 widens, so these layers aggregate before projecting;
+        the default 6 -> 4 case covers the projection-first order."""
+        numerical_layer_grad_check(layer_cls, in_dim=4, out_dim=6)
+
+    def test_gcn_aggregate_first_no_activation_gradients(self):
+        numerical_layer_grad_check(GCNLayer, in_dim=4, out_dim=6,
+                                   activation=False)
+
+
+LAYER_CLASSES = [GCNLayer, CommNetLayer, GINLayer, SAGELayer, GATLayer]
+WIDTHS = [(6, 4), (4, 6), (5, 5)]
+
+
+def _layer_case(layer_cls, in_dim, out_dim, seed=0):
+    g = rmat(40, 260, seed=seed)
+    # Destination rows are a prefix of the input rows, as on a device.
+    ctx = GraphContext.from_graph(
+        Graph(g.edges[0], g.edges[1] % 30, 40, dedup=False), num_dst=30
+    )
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((40, in_dim)).astype(np.float32)
+    return ctx, h, layer_cls(in_dim, out_dim, seed=seed)
+
+
+class TestExecutedOrder:
+    """Each layer aggregates at the width its ``compute_cost`` prices."""
+
+    @pytest.mark.parametrize("in_dim, out_dim", WIDTHS)
+    @pytest.mark.parametrize("layer_cls",
+                             [GCNLayer, CommNetLayer, GINLayer, SAGELayer])
+    def test_aggregation_width_matches_priced_width(self, monkeypatch,
+                                                    layer_cls, in_dim, out_dim):
+        import repro.gnn.layers as layers
+
+        widths = []
+
+        def recording(values, *args, **kwargs):
+            widths.append(values.shape[1])
+            return segment_sum(values, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "segment_sum", recording)
+        ctx, h, layer = _layer_case(layer_cls, in_dim, out_dim)
+        layer.forward(ctx, h)
+        cost = layer.compute_cost(ctx.num_dst, ctx.num_rows, ctx.num_edges)
+        priced = cost.agg_bytes / (2 * ctx.num_edges * 4)
+        assert widths == [priced]
+
+
+class TestSkippedInputGradient:
+    """``input_grad=False`` drops only the input-row gradient."""
+
+    @pytest.mark.parametrize("in_dim, out_dim", WIDTHS)
+    @pytest.mark.parametrize("layer_cls", LAYER_CLASSES)
+    def test_weight_grads_bit_identical(self, layer_cls, in_dim, out_dim):
+        ctx, h, layer = _layer_case(layer_cls, in_dim, out_dim, seed=3)
+        out, cache = layer.forward(ctx, h)
+        d_h, full = layer.backward(ctx, cache, out.copy())
+        assert d_h.shape == h.shape
+        skipped, grads = layer.backward(ctx, cache, out.copy(),
+                                        input_grad=False)
+        assert skipped is None
+        assert grads.keys() == full.keys()
+        for name in full:
+            assert np.array_equal(grads[name], full[name]), name
+
+    @pytest.mark.parametrize("layer_cls", LAYER_CLASSES)
+    def test_no_scatter_without_input_grad(self, monkeypatch, layer_cls):
+        """At 4 -> 6 no layer projects before aggregating, so a backward
+        scatters only to form ``d_h`` (GAT's never scatters)."""
+        import repro.gnn.layers as layers
+
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return scatter_back(*args, **kwargs)
+
+        monkeypatch.setattr(layers, "scatter_back", recording)
+        ctx, h, layer = _layer_case(layer_cls, 4, 6)
+        out, cache = layer.forward(ctx, h)
+        layer.backward(ctx, cache, out, input_grad=False)
+        assert calls == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import CommRelation, SPSTPlanner, peer_to_peer_plan
-from repro.errors import TrainingSpecError
+from repro.errors import ReproError, TrainingSpecError
 from repro.gnn import (
     SGD,
     SingleDeviceTrainer,
@@ -66,6 +66,38 @@ class TestBuilders:
 
         with pytest.raises(ValueError):
             GNNModel([])
+
+    def test_unknown_model_is_typed(self):
+        from repro.errors import UnknownModelError
+
+        with pytest.raises(UnknownModelError) as exc:
+            build_model("gcnn", 8, 4, 3)
+        assert isinstance(exc.value, (ReproError, KeyError, ValueError))
+        assert exc.value.name == "gcnn"
+        assert "gcn" in str(exc.value) and "gin" in str(exc.value)
+
+    @pytest.mark.parametrize("num_layers", [0, -1])
+    def test_layerless_model_is_typed(self, num_layers):
+        with pytest.raises(TrainingSpecError):
+            build_model("gcn", 8, 4, 3, num_layers=num_layers)
+
+    def test_disjoint_layer_widths_rejected(self):
+        from repro.gnn.layers import GCNLayer
+        from repro.gnn.models import GNNModel
+
+        with pytest.raises(TrainingSpecError, match="layer 1"):
+            GNNModel([GCNLayer(8, 4), GCNLayer(5, 3)])
+
+    def test_backward_returns_weight_grads_only(self):
+        from repro.gnn.layers import GraphContext
+
+        g = rmat(30, 150, seed=1)
+        model = build_gin(6, 4, 3)
+        ctx = GraphContext.from_graph(g)
+        h = np.random.default_rng(0).standard_normal((30, 6)).astype(np.float32)
+        out, caches = model.forward(ctx, h)
+        grads = model.backward(ctx, caches, out)
+        assert [set(gr) for gr in grads] == [set(l.params) for l in model.layers]
 
 
 class TestSingleDeviceTrainer:
@@ -167,6 +199,25 @@ class TestDistributedEquivalence:
         a = ref.run_epoch()
         b = dist.run_epoch()
         assert np.allclose(a.logits, b.logits, atol=1e-4)
+
+    def test_layer_zero_scatters_nothing(self, task, monkeypatch):
+        """Input features need no gradient, so a GIN pass scatters only
+        for layer 1 (input width 12), never at layer 0's width 24."""
+        import repro.gnn.layers as layers
+
+        g, feats, labels, rel = task
+        widths = []
+        original = layers.scatter_back
+
+        def recording(grad, *args, **kwargs):
+            widths.append(grad.shape[1])
+            return original(grad, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "scatter_back", recording)
+        plan = SPSTPlanner(dgx1(), seed=0).plan(rel)
+        DistributedTrainer(rel, plan, build_gin(24, 12, 5), feats,
+                           labels).run_epoch()
+        assert widths == [12] * rel.num_devices
 
     def test_loss_decreases_distributed(self, task):
         g, feats, labels, rel = task

@@ -545,7 +545,7 @@ class TestCliTelemetry:
         "train-cli.trace.json":
             "c083049dca3a7fe00a35c39daad1dd389bb56adf3f0edad09a1aca56481e36b3",
         "train-fault.trace.json":
-            "9ef4f809c7d73304426aae658ad36e446a13ffea49a70a27f5ea6c6997cb184f",
+            "f6b8e2c1941ef91b0c4e36ed8622262225a13c429935940faea0d639d8bef395",
     }
 
     @pytest.mark.parametrize("out, argv", [
